@@ -19,6 +19,7 @@ from repro.config import SystemConfig
 from repro.eval import result_cache
 from repro.offload.modes import ExecMode
 from repro.sim.run import run_workload
+from repro.workloads.build_cache import load_trace_cached
 
 #: BENCH_PR6.json replay_throughput: bfs_push/ns warm replays at scale
 #: 1/64, before the stats bundle existed.
@@ -48,7 +49,13 @@ def _timed(n, func):
     return best, result
 
 
-def test_warm_mesh32_stats_share(fresh_cache, bench_log, monkeypatch):
+def _no_bundle(name, config, scale):
+    """The stored trace, loaded without adopting its stats bundle: a run
+    of it recomputes stream geometry, as warm runs did before bundles."""
+    return load_trace_cached(name, scale, 42, config)
+
+
+def test_warm_mesh32_stats_share(fresh_cache, bench_log):
     """bfs_push on the 32x32 mesh: cold vs warm, and the warm profile's
     phase.stats share — the geometry work must be a minor line item."""
     config = SystemConfig.paper_mesh(32)
@@ -64,10 +71,9 @@ def test_warm_mesh32_stats_share(fresh_cache, bench_log, monkeypatch):
     assert warm.to_dict() == cold.to_dict()
     assert "run.record_stats" not in warm.profile
 
-    monkeypatch.setenv("REPRO_NO_STATS_CACHE", "1")
     t_nostats, nostats = _timed(3, lambda: run_workload(
-        "bfs_push", ExecMode.NS, config=config, scale=MESH32_SCALE))
-    monkeypatch.delenv("REPRO_NO_STATS_CACHE")
+        _no_bundle("bfs_push", config, MESH32_SCALE), ExecMode.NS,
+        config=config, scale=MESH32_SCALE))
     assert nostats.to_dict() == cold.to_dict()
 
     measured = sum(t.seconds for t in warm.profile.values())
@@ -91,8 +97,7 @@ def test_warm_mesh32_stats_share(fresh_cache, bench_log, monkeypatch):
     assert t_warm <= t_nostats
 
 
-def test_stats_throughput_vs_pr6_baseline(fresh_cache, bench_log,
-                                          monkeypatch):
+def test_stats_throughput_vs_pr6_baseline(fresh_cache, bench_log):
     """Steady-state warm replay rate (the sweep unit) vs BENCH_PR6."""
     config = SystemConfig.ooo8()
     scale = 1.0 / 64.0  # BENCH_PR6's replay_throughput operating point
@@ -111,9 +116,9 @@ def test_stats_throughput_vs_pr6_baseline(fresh_cache, bench_log,
     assert "run.replay" in result.profile
     assert "run.record_stats" not in result.profile
 
-    monkeypatch.setenv("REPRO_NO_STATS_CACHE", "1")
-    t_nostats, _ = _timed(3, run)
-    monkeypatch.delenv("REPRO_NO_STATS_CACHE")
+    t_nostats, _ = _timed(3, lambda: run_workload(
+        _no_bundle("bfs_push", config, scale), ExecMode.NS, config=config,
+        scale=scale))
 
     points_per_sec = 1.0 / per_run
     speedup = points_per_sec / PR6_POINTS_PER_SEC

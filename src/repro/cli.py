@@ -440,33 +440,31 @@ def _profile_compare(args, mode, config) -> int:
     """
     import time as _time
     from repro.eval.benchlog import append_record, mesh_fields
+    from repro.eval.result_cache import get_default_cache
     from repro.sim.run import run_workload
+    from repro.workloads.build_cache import persist_stats, resolve_trace
 
     baseline = "reference" if args.compare == "ref" else "batched"
     other = "batched" if baseline == "reference" else "reference"
-    # Load the functional trace (and its derived-geometry bundle) once
+    # Resolve the functional trace (and its derived-geometry bundle) once
     # and hand the same object to both engines: the comparison then
     # measures the engines, not redundant geometry work — the in-process
     # stats memo is shared across the two runs.
-    source = args.workload
-    if not (args.no_replay or args.no_build_cache):
-        from repro.workloads.build_cache import load_stats_cached, \
-            load_trace_cached
-        loaded = load_trace_cached(args.workload, args.scale, args.seed,
-                                   config)
-        if loaded is not None:
-            loaded.adopt_stats(load_stats_cached(
-                args.workload, args.scale, args.seed, config))
-            source = loaded
+    source, cache = args.workload, None
+    if not args.no_build_cache:
+        cache = get_default_cache()
+        source = resolve_trace(args.workload, args.scale, args.seed, config,
+                               cache)
     runs = {}
     for engine in (baseline, other):
         t0 = _time.perf_counter()
         result = run_workload(source, mode, config=config,
                               scale=args.scale, seed=args.seed,
                               use_build_cache=not args.no_build_cache,
-                              use_replay=not args.no_replay,
                               protocol_engine=engine)
         runs[engine] = (result, _time.perf_counter() - t0)
+    if cache is not None:
+        persist_stats(source, config, cache)
     if runs[baseline][0].to_dict() != runs[other][0].to_dict():
         print(f"ENGINES DISAGREE on {args.workload}: {baseline} and "
               f"{other} produced different results", file=sys.stderr)
@@ -520,8 +518,7 @@ def cmd_profile(args) -> int:
     t0 = _time.perf_counter()
     result = run_workload(args.workload, mode, config=config,
                           scale=args.scale, seed=args.seed,
-                          use_build_cache=not args.no_build_cache,
-                          use_replay=not args.no_replay)
+                          use_build_cache=not args.no_build_cache)
     wall = _time.perf_counter() - t0
     print(result.summary())
     print()
@@ -956,10 +953,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("workload")
     prof_p.add_argument("--mode", choices=sorted(MODES), default="ns")
     prof_p.add_argument("--no-build-cache", action="store_true",
-                        help="measure a cold build instead of a cached one")
-    prof_p.add_argument("--no-replay", action="store_true",
-                        help="disable the functional-trace replay fast "
-                             "path (measure the live functional pass)")
+                        help="run live without the store: build and "
+                             "compile in this run, read and write nothing")
     prof_p.add_argument("--top", type=int, default=0, metavar="N",
                         help="print a one-line top-N stage share summary")
     prof_p.add_argument("--min-coverage", type=float, default=None,

@@ -64,9 +64,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 CACHE_SCHEMA = 5
 
 #: Artifact kinds an envelope can carry (``kind`` field); entries written
-#: before the field existed count as "result".
+#: before the field existed count as "result".  Stores written by older
+#: versions may also hold dead "build" entries (pickled workloads, no
+#: longer read); ``repro cache clear`` drops them.
 KIND_RESULT = "result"
-KIND_BUILD = "build"
 KIND_REPLAY = "replay"
 KIND_STATS = "stats"
 
@@ -288,9 +289,9 @@ class ResultCache:
     def store(self, key: str, value: Any, kind: str = KIND_RESULT) -> bool:
         """Persist ``value`` under ``key`` atomically.
 
-        ``kind`` labels the artifact class ("result", "build", "replay",
-        "stats") in the envelope so ``repro cache stats`` can account
-        each class separately.  Returns False (storing nothing) when the serialized
+        ``kind`` labels the artifact class ("result", "replay", "stats")
+        in the envelope so ``repro cache stats`` can account each class
+        separately.  Returns False (storing nothing) when the serialized
         entry exceeds ``$REPRO_CACHE_MAX_MB`` — a runaway entry must
         degrade to a cache miss, not fill the disk.
 
@@ -404,8 +405,8 @@ class ResultCache:
         Always reports the quarantine (count and bytes) separately from
         live entries.  With ``by_kind`` each live entry's envelope is read
         to split the accounting into artifact classes (``result`` sweep
-        points, ``build`` pickled workloads, ``replay`` functional
-        traces, ``stats`` derived-geometry bundles) — the replay/stats
+        points, ``replay`` functional traces, ``stats`` derived-geometry
+        bundles, plus whatever kinds an older version left behind) — the replay/stats
         artifacts are the large ones, so this is how their footprint is
         judged against ``$REPRO_CACHE_MAX_MB``.
         """

@@ -9,12 +9,13 @@ inline (``jobs=1``) or on a
 :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Within a group only the first point pays functional cost: the group
-loads the content-keyed :class:`~repro.sim.replay.FunctionalTrace` from
-the persistent cache (or builds the workload once, records the trace,
-and stores it), and every point — every offload mode, timing knob,
+resolves the content-keyed :class:`~repro.sim.replay.FunctionalTrace`
+once (:func:`~repro.workloads.build_cache.resolve_trace` loads it from
+the persistent cache, or builds the workload, records the trace and
+stores it), and every point — every offload mode, timing knob,
 sample_cores, recovery rate, and fault plan, none of which can change
-addresses or compute results — replays it.  ``$REPRO_NO_REPLAY``
-restores the previous build-and-share-the-workload behavior.
+addresses or compute results — replays it.  An uncached sweep records
+the trace in memory only.
 
 Determinism: a group is self-contained — it derives everything from the
 (name, scale, seed, config) tuple, so its results are identical whether it
@@ -301,32 +302,23 @@ def _run_group(payload: _Payload) -> List[Tuple]:
     Module-level so it pickles for ProcessPoolExecutor; all points share
     the same (workload, scale, seed, config). ``payload`` carries the
     result-cache root (or None) so workers can reuse the persistent
-    replay/build caches across groups and sessions, plus the heartbeat
-    file this worker touches before every point and every phase so the
-    dispatcher's watchdog can tell "hung" from "slow".
+    trace and stats artifacts across groups and sessions, plus the
+    heartbeat file this worker touches before every point and every
+    phase so the dispatcher's watchdog can tell "hung" from "slow".
 
-    The group first tries the content-keyed functional trace: a hit
-    means zero functional work for the whole group.  On a miss it builds
-    the workload once (through the build cache when persistent), records
-    the trace, stores it, and replays it for every point.  With replay
-    disabled (``$REPRO_NO_REPLAY``) points share the built workload as
-    before.
-
-    The derived-geometry stats bundle rides the same way: a persistent
-    group loads it once and every mode unpacks from it; a group that had
-    to compute stats stores the bundle afterwards (unless
-    ``$REPRO_NO_STATS_CACHE``).  Uncached groups still share stats
-    across their points through the trace's in-process memo, writing
-    nothing to disk.
+    The group resolves its functional trace once — with any stored
+    stats bundle adopted — and replays it for every point.  A persistent
+    group that had to compute stream geometry stores the bundle
+    afterwards; uncached groups still share stats across their points
+    through the trace's in-process memo, writing nothing to disk.
+    Resolution is group work: it is charged to no point's profile.
 
     Returns one record per point — ``("ok", SimResult)`` or
     ``("error", stage, exc_type, message, traceback)`` — so a mid-group
     exception costs only its own point, never the group's completed work.
     """
-    from repro.mem.address import AddressSpace
-    from repro.sim.run import _ENV_NO_REPLAY, _ENV_NO_STATS_CACHE, \
-        run_workload
-    from repro.workloads import make_workload
+    from repro.sim.run import run_workload
+    from repro.workloads.build_cache import persist_stats, resolve_trace
 
     points, cache_root = payload[0], payload[1]
     hb_path = payload[2] if len(payload) > 2 else None
@@ -341,55 +333,19 @@ def _run_group(payload: _Payload) -> List[Tuple]:
     _beat()
     first = points[0]
     cache = ResultCache(cache_root) if cache_root is not None else None
-    use_replay = not os.environ.get(_ENV_NO_REPLAY)
-    use_stats = use_replay and not os.environ.get(_ENV_NO_STATS_CACHE)
-    trace = None
-    stats_loaded = False
     try:
-        if cache is not None and use_replay:
-            from repro.workloads.build_cache import load_trace_cached
-            trace = load_trace_cached(first.workload, first.scale,
-                                      first.seed, first.config, cache=cache)
-        if trace is None:
-            if cache is not None:
-                from repro.workloads.build_cache import \
-                    build_workload_cached
-                wl = build_workload_cached(first.workload, first.scale,
-                                           first.seed, first.config,
-                                           cache=cache)
-            else:
-                wl = make_workload(first.workload, scale=first.scale,
-                                   seed=first.seed)
-                wl.build(AddressSpace(first.config))
-            if use_replay:
-                if cache is not None:
-                    from repro.workloads.build_cache import \
-                        record_trace_cached
-                    trace = record_trace_cached(wl, first.config,
-                                                cache=cache)
-                else:
-                    # No persistent store: record in-memory only, so an
-                    # uncached sweep stays side-effect free on disk.
-                    from repro.eval.result_cache import config_fingerprint
-                    from repro.sim.replay import record_trace
-                    trace = record_trace(wl,
-                                         config_fingerprint(first.config))
-        if trace is not None and cache is not None and use_stats:
-            from repro.workloads.build_cache import load_stats_cached
-            stats_loaded = trace.adopt_stats(
-                load_stats_cached(first.workload, first.scale, first.seed,
-                                  first.config, cache=cache))
+        trace = resolve_trace(first.workload, first.scale, first.seed,
+                              first.config, cache)
     except Exception as exc:  # noqa: BLE001 — reported per point
         record = (_ERR, "build", type(exc).__name__, str(exc),
                   clip_traceback(traceback.format_exc()))
         return [record for _ in points]
 
-    source = trace if trace is not None else wl
     records: List[Tuple] = []
     for p in points:
         _beat()
         try:
-            result = run_workload(source, p.mode, config=p.config,
+            result = run_workload(trace, p.mode, config=p.config,
                                   scale=p.scale, seed=p.seed,
                                   sample_cores=p.sample_cores,
                                   recovery_rate=p.recovery_rate,
@@ -400,16 +356,12 @@ def _run_group(payload: _Payload) -> List[Tuple]:
             records.append((_ERR, "run", type(exc).__name__, str(exc),
                             clip_traceback(traceback.format_exc())))
 
-    if (trace is not None and cache is not None and use_stats
-            and not stats_loaded):
+    if cache is not None:
         # Persist the group's computed geometry so the next session's
         # warm runs load instead of recompute.  Pure bookkeeping: a
         # failure here must never cost the group's completed points.
         try:
-            from repro.workloads.build_cache import store_stats_cached
-            bundle = trace.export_stats()
-            if bundle is not None:
-                store_stats_cached(bundle, first.config, cache=cache)
+            persist_stats(trace, first.config, cache)
         except Exception:  # noqa: BLE001 — best-effort persistence
             pass
     return records

@@ -19,10 +19,12 @@ The property suite ``tests/sim/test_replay_equivalence.py`` enforces
 this for all workloads and modes with the same discipline as
 ``cache_ref`` and ``analyze_reference``.
 
-Persistence rides the same checksummed-envelope, content-addressed store
-as workload builds (:mod:`repro.workloads.build_cache` holds the cache
-plumbing and the key derivation); a corrupt or stale entry quarantines
-and degrades to a live build, never a crash.
+Persistence rides the checksummed-envelope, content-addressed result
+store; :func:`repro.workloads.build_cache.resolve_trace` is the one path
+that loads a trace or builds and records one, and holds the key
+derivation.  The trace replaces the built workload as the stored
+artifact: a corrupt or stale entry quarantines and degrades to a fresh
+build and record, never a crash.
 """
 
 from __future__ import annotations

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Optional, Union
 
 from repro.compiler import compile_kernel
 from repro.config import SystemConfig
 from repro.energy.model import EnergyModel, EventCounts
+from repro.eval.result_cache import config_fingerprint, get_default_cache
 from repro.fault.plan import FaultPlan, FaultStats
 from repro.isa.instructions import UopCounts
 from repro.mem.address import AddressSpace
@@ -22,16 +22,7 @@ from repro.sim.results import PhaseResult, SimResult
 from repro.sim.tracestats import hops_matrix
 from repro.trace.tracer import Tracer, tracer_from_env
 from repro.workloads import Workload, make_workload
-
-#: Set to any non-empty value to bypass the workload-build cache.
-_ENV_NO_BUILD_CACHE = "REPRO_NO_BUILD_CACHE"
-#: Set to any non-empty value to disable the functional-trace replay fast
-#: path (record + replay of compiled programs and stream traces).
-_ENV_NO_REPLAY = "REPRO_NO_REPLAY"
-#: Set to any non-empty value to disable the derived-geometry stats
-#: bundle (persisted per-phase StreamStats); stats are then recomputed
-#: from the trace on every run.
-_ENV_NO_STATS_CACHE = "REPRO_NO_STATS_CACHE"
+from repro.workloads.build_cache import persist_stats, resolve_trace
 
 
 def run_workload(workload: Union[str, Workload, FunctionalTrace],
@@ -45,7 +36,6 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
                  use_build_cache: bool = True,
                  fault_plan: Optional[FaultPlan] = None,
                  tracer: Optional[Tracer] = None,
-                 use_replay: bool = True,
                  protocol_engine: Optional[str] = None,
                  heartbeat: Optional[Callable[[], None]] = None
                  ) -> SimResult:
@@ -58,24 +48,24 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
     no workload build, no kernel compilation — bit-identical to live by
     construction (property-tested in ``tests/sim``).
 
-    Workloads named by string run through two content-keyed caches:
+    Workloads named by string resolve through the content-keyed store
+    (:func:`~repro.workloads.build_cache.resolve_trace`):
 
-    * the **replay cache** — a compact functional trace (compiled
-      programs + packed stream traces).  A hit skips the build entirely
-      (``run.replay`` stage); a miss records one after building
-      (``run.record``) so every later run of the same functional key —
-      any mode, any timing knob — replays.  Disable with
-      ``use_replay=False`` or ``$REPRO_NO_REPLAY``.
-    * the **build cache** — the pickled built workload.  Disable with
-      ``use_build_cache=False`` or ``$REPRO_NO_BUILD_CACHE`` (which also
-      disables replay: both are persisted-artifact paths).
-    * the **stats cache** — the derived stream-geometry bundle
+    * the **functional trace** — compiled programs + packed stream
+      traces.  A hit skips the build entirely (``run.replay`` stage); a
+      miss builds (``run.build``) and records one (``run.record``) so
+      every later run of the same functional key — any mode, any timing
+      knob — replays.
+    * the **stats bundle** — the derived stream-geometry bundle
       (per-phase :class:`~repro.sim.tracestats.StreamStats` in SoA
       form), loaded under ``run.trace_load`` on warm runs and recorded
       under ``run.record_stats`` after a run that had to compute them.
       Geometry is pure in (trace, config), so loading it is
-      bit-identical to recomputing; disable with
-      ``$REPRO_NO_STATS_CACHE``.
+      bit-identical to recomputing.
+
+    ``use_build_cache=False`` (or a custom ``space``) is the store-free
+    live run: the workload is built and its kernels compiled in this
+    call, and the store is neither read nor written.
 
     ``recovery_rate`` injects precise-state restoration episodes (alias
     false positives / context switches / faults, Fig 7 b-c) per million
@@ -113,54 +103,29 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
         # charge it to run.setup so profiles stay near-complete.
         with profiler.stage("run.setup"):
             tracer = tracer_from_env()
-    use_build_cache = (use_build_cache
-                       and not os.environ.get(_ENV_NO_BUILD_CACHE))
-    use_replay = use_replay and not os.environ.get(_ENV_NO_REPLAY)
 
     trace: Optional[FunctionalTrace] = None
     wl: Optional[Workload] = None
-    # Stats bundles are persisted only for string-named runs (the cached
-    # paths); a FunctionalTrace passed directly relies on its in-process
-    # memo or a bundle the caller adopted (run_sweep does both), so an
-    # uncached sweep never writes to disk.
-    stats_cacheable = False
+    # Only string-named runs on the store persist a stats bundle; a
+    # FunctionalTrace passed directly relies on its in-process memo or a
+    # bundle its caller adopted (run_sweep does both).
+    cache = None
     if isinstance(workload, FunctionalTrace):
         trace = workload
-    elif isinstance(workload, str):
-        replayable = use_replay and use_build_cache and space is None
-        if replayable:
-            with profiler.stage("run.replay"):
-                # Import inside the stage: the cache module's first load
-                # is real warm-run time and must show in the profile.
-                from repro.workloads.build_cache import load_trace_cached
-                trace = load_trace_cached(workload, scale, seed, config)
-        if trace is None:
-            with profiler.stage("run.build"):
-                if use_build_cache:
-                    from repro.workloads.build_cache import \
-                        build_workload_cached
-                    wl = build_workload_cached(workload, scale, seed,
-                                               config, space=space)
-                else:
-                    wl = make_workload(workload, scale=scale, seed=seed)
-                    wl.build(space or AddressSpace(config))
-            if replayable:
-                with profiler.stage("run.record"):
-                    from repro.workloads.build_cache import \
-                        record_trace_cached
-                    trace = record_trace_cached(wl, config)
-        stats_cacheable = (replayable and trace is not None
-                           and not os.environ.get(_ENV_NO_STATS_CACHE))
+    elif isinstance(workload, str) and use_build_cache and space is None:
+        cache = get_default_cache()
+        trace = resolve_trace(workload, scale, seed, config, cache,
+                              profiler=profiler)
     else:
         wl = workload
-        if wl.space is None:
+        if isinstance(wl, str) or wl.space is None:
             with profiler.stage("run.build"):
+                if isinstance(wl, str):
+                    wl = make_workload(wl, scale=scale, seed=seed)
                 wl.build(space or AddressSpace(config))
 
-    stats_loaded = trace is not None and trace.has_stats_bundle
     if trace is not None:
         with profiler.stage("run.trace_load"):
-            from repro.eval.result_cache import config_fingerprint
             if trace.config_fp != config_fingerprint(config):
                 raise ValueError(
                     f"{trace.workload}: functional trace was recorded under "
@@ -168,11 +133,6 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
                     f"desynchronize the address layout")
             run_name, run_scale, run_space = (trace.workload, trace.scale,
                                               trace.space)
-            if stats_cacheable and not stats_loaded:
-                from repro.workloads.build_cache import load_stats_cached
-                stats_loaded = trace.adopt_stats(
-                    load_stats_cached(trace.workload, trace.scale,
-                                      trace.seed, config))
             pairs = trace.phase_programs()
     else:
         run_name, run_scale, run_space = wl.name, wl.scale, wl.space
@@ -239,12 +199,8 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
             bottleneck=outcome.bottleneck, core_uops=outcome.core_uops,
             offloaded_compute_instances=outcome.offloaded_uops))
 
-    if stats_cacheable and not stats_loaded:
-        with profiler.stage("run.record_stats"):
-            from repro.workloads.build_cache import store_stats_cached
-            bundle = trace.export_stats()
-            if bundle is not None:
-                store_stats_cached(bundle, config)
+    if cache is not None:
+        persist_stats(trace, config, cache, profiler=profiler)
 
     with profiler.stage("run.finish"):
         total_events.noc_byte_hops = total_traffic.total_byte_hops

@@ -1,34 +1,42 @@
-"""Content-keyed cache for built workloads.
+"""One resolver for a workload's functional artifacts.
 
-``Workload.build`` is a real cost at paper scale — the Kronecker
-generators plus the functional executions (BFS levels, PageRank sweeps)
-are Python loops that dwarf the simulation itself once ``scale``
-approaches 1.0, and every figure driver rebuilds the same inputs for
-each of its modes. Building is deterministic in (workload kind, scale,
-seed, machine config), so the finished object — address space, input
-arrays, kernels, and traces — can be pickled once and reloaded for every
-subsequent run.
+A workload's functional pass — the Kronecker generators, the functional
+executions (BFS levels, PageRank sweeps) and kernel compilation — is
+deterministic in (workload kind, scale, seed, machine config), and
+everything a timing run reads from it fits in a
+:class:`~repro.sim.replay.FunctionalTrace`.  The built
+:class:`~repro.workloads.base.Workload` itself is never persisted: no
+run reads it once its trace exists.
 
-Entries live in the same ``.repro_cache/`` store as simulation results
+:func:`resolve_trace` is the one place that loads a trace, or builds the
+workload and records one, and adopts the trace's stored stream-geometry
+:class:`~repro.sim.replay.StatsBundle`.  :func:`~repro.sim.run.
+run_workload`, sweep groups and ``repro profile --compare`` all call it,
+then :func:`persist_stats` once their runs have computed the geometry.
+
+Artifacts live in the same ``.repro_cache/`` store as simulation results
 (:mod:`repro.eval.result_cache`), under keys that mix in the workload's
-class identity and a build-schema version, so result entries and build
-entries can never collide and semantics changes invalidate cleanly.
+class identity and schema versions, so result, trace and stats entries
+can never collide and semantics changes invalidate cleanly.
 """
 
 from __future__ import annotations
 
 import pickle
 import warnings
-from typing import Optional
+from contextlib import nullcontext
+from typing import TYPE_CHECKING, Optional
 
 from repro.config import SystemConfig
-from repro.eval.result_cache import KIND_BUILD, KIND_REPLAY, KIND_STATS, \
-    ResultCache, config_fingerprint, fingerprint, get_default_cache
-from repro.mem.address import AddressSpace
-from repro.workloads.base import Workload, make_workload, _REGISTRY
+from repro.eval.result_cache import KIND_REPLAY, KIND_STATS, ResultCache, \
+    config_fingerprint, fingerprint, get_default_cache
+from repro.workloads.base import _REGISTRY
+
+if TYPE_CHECKING:
+    from repro.sim.profiler import Profiler
 
 #: Bump when Workload.build semantics change (trace layout, allocation
-#: order, functional execution) in a way that invalidates pickled builds.
+#: order, functional execution) in a way that invalidates stored traces.
 BUILD_SCHEMA = 1
 
 
@@ -58,49 +66,8 @@ def _store_degraded(cache: ResultCache, key: str, value,
     return stored
 
 
-def build_key(name: str, scale: float, seed: int,
-              config: SystemConfig) -> str:
-    """Content hash identifying one deterministic workload build.
-
-    The machine config participates because :class:`AddressSpace` layout
-    (and therefore every trace's physical addresses) derives from it.
-    """
-    cls = _REGISTRY.get(name)
-    return fingerprint({
-        "kind": "workload-build",
-        "schema": BUILD_SCHEMA,
-        "workload": name,
-        "class": f"{cls.__module__}.{cls.__qualname__}" if cls else name,
-        "scale": scale,
-        "seed": seed,
-        "config": config,
-    })
-
-
-def build_workload_cached(name: str, scale: float, seed: int,
-                          config: SystemConfig,
-                          space: Optional[AddressSpace] = None,
-                          cache: Optional[ResultCache] = None) -> Workload:
-    """Return a built workload, loading it from the cache when possible.
-
-    A custom ``space`` opts out of caching (the key only covers the
-    config-derived default layout). An unpicklable build, or one larger
-    than ``$REPRO_CACHE_MAX_MB``, degrades to a plain miss with a
-    one-line warning rather than failing the run.
-    """
-    if space is not None:
-        wl = make_workload(name, scale=scale, seed=seed)
-        wl.build(space)
-        return wl
-    cache = cache if cache is not None else get_default_cache()
-    key = build_key(name, scale, seed, config)
-    cached = cache.lookup(key)
-    if isinstance(cached, Workload):
-        return cached
-    wl = make_workload(name, scale=scale, seed=seed)
-    wl.build(AddressSpace(config))
-    _store_degraded(cache, key, wl, KIND_BUILD, "build", name, scale)
-    return wl
+def _stage(profiler: Optional[Profiler], name: str):
+    return profiler.stage(name) if profiler is not None else nullcontext()
 
 
 # ----------------------------------------------------------------------
@@ -110,9 +77,9 @@ def trace_key(name: str, scale: float, seed: int,
               config: SystemConfig) -> str:
     """Content hash identifying one workload's functional trace.
 
-    Same identity tuple as :func:`build_key` — the trace is derived data
-    of the build — plus the replay schema so layout changes invalidate
-    stored traces without touching builds.
+    The machine config participates because :class:`AddressSpace`
+    layout (and therefore every trace's physical addresses) derives from
+    it; the replay schema lets layout changes invalidate stored traces.
     """
     from repro.sim.replay import REPLAY_SCHEMA
     cls = _REGISTRY.get(name)
@@ -135,8 +102,9 @@ def load_trace_cached(name: str, scale: float, seed: int,
 
     Anything that is not a schema-current FunctionalTrace for this
     workload is a miss — corruption is already quarantined by the store
-    layer, and a foreign value under this key simply falls back to the
-    live build path.
+    layer, and a foreign value under this key simply falls back to a
+    fresh build and record.  The trace comes back without its stats
+    bundle.
     """
     from repro.sim.replay import REPLAY_SCHEMA, FunctionalTrace
     cache = cache if cache is not None else get_default_cache()
@@ -148,25 +116,41 @@ def load_trace_cached(name: str, scale: float, seed: int,
     return None
 
 
-def store_trace_cached(trace, config: SystemConfig,
-                       cache: Optional[ResultCache] = None) -> bool:
-    """Persist a recorded FunctionalTrace; degrades to a warning.
+def resolve_trace(name: str, scale: float, seed: int,
+                  config: SystemConfig, cache: Optional[ResultCache],
+                  profiler: Optional[Profiler] = None):
+    """The workload's FunctionalTrace, with any stored stats bundle adopted.
 
-    Oversize traces (over ``$REPRO_CACHE_MAX_MB``) and unpicklable ones
-    must cost a warning, never the run.
+    A store hit loads the trace (``run.replay``).  A miss builds the
+    workload (``run.build``), records its trace and stores it
+    (``run.record``); an unpicklable or oversize trace costs a warning,
+    never the run.  The stats bundle is then probed (``run.trace_load``).
+    With ``cache=None`` the trace is built and recorded in memory only:
+    nothing is read or written.  ``profiler`` charges each step to the
+    named stage; without one nothing is timed.
     """
-    cache = cache if cache is not None else get_default_cache()
-    key = trace_key(trace.workload, trace.scale, trace.seed, config)
-    return _store_degraded(cache, key, trace, KIND_REPLAY, "replay",
-                           trace.workload, trace.scale)
-
-
-def record_trace_cached(wl: Workload, config: SystemConfig,
-                        cache: Optional[ResultCache] = None):
-    """Record a built workload's FunctionalTrace and persist it."""
+    # Resolved at call time so tests and span recorders can hook them.
+    from repro.mem.address import AddressSpace
     from repro.sim.replay import record_trace
-    trace = record_trace(wl, config_fingerprint(config))
-    store_trace_cached(trace, config, cache=cache)
+    from repro.workloads import make_workload
+
+    trace = None
+    if cache is not None:
+        with _stage(profiler, "run.replay"):
+            trace = load_trace_cached(name, scale, seed, config, cache=cache)
+    if trace is None:
+        with _stage(profiler, "run.build"):
+            wl = make_workload(name, scale=scale, seed=seed)
+            wl.build(AddressSpace(config))
+        with _stage(profiler, "run.record"):
+            trace = record_trace(wl, config_fingerprint(config))
+            if cache is not None:
+                _store_degraded(cache, trace_key(name, scale, seed, config),
+                                trace, KIND_REPLAY, "replay", name, scale)
+    if cache is not None:
+        with _stage(profiler, "run.trace_load"):
+            trace.adopt_stats(load_stats_cached(name, scale, seed, config,
+                                                cache=cache))
     return trace
 
 
@@ -180,7 +164,7 @@ def stats_key(name: str, scale: float, seed: int,
     Keyed by the functional trace's content key plus the config
     fingerprint (geometry depends on the mesh/page layout) and the
     bundle schema, so layout changes invalidate bundles without
-    touching traces or builds.
+    touching traces.
     """
     from repro.sim.replay import STATS_SCHEMA
     return fingerprint({
@@ -219,3 +203,19 @@ def store_stats_cached(bundle, config: SystemConfig,
     key = stats_key(bundle.workload, bundle.scale, bundle.seed, config)
     return _store_degraded(cache, key, bundle, KIND_STATS, "stats",
                            bundle.workload, bundle.scale)
+
+
+def persist_stats(trace, config: SystemConfig, cache: ResultCache,
+                  profiler: Optional[Profiler] = None) -> bool:
+    """Store the geometry runs computed for a resolved ``trace``.
+
+    A no-op when the trace came with an adopted bundle (nothing new to
+    store) or when some phase's stats were never computed.  The work is
+    charged to ``run.record_stats``.
+    """
+    if trace.has_stats_bundle:
+        return False
+    with _stage(profiler, "run.record_stats"):
+        bundle = trace.export_stats()
+        return bundle is not None and store_stats_cached(bundle, config,
+                                                         cache=cache)

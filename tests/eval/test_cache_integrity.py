@@ -4,9 +4,9 @@ import pickle
 
 import pytest
 
-from repro.eval.result_cache import (CACHE_SCHEMA, KIND_BUILD,
-                                     KIND_REPLAY, KIND_RESULT, KIND_STATS,
-                                     ResultCache, max_entry_bytes)
+from repro.eval.result_cache import (CACHE_SCHEMA, KIND_REPLAY,
+                                     KIND_RESULT, KIND_STATS, ResultCache,
+                                     max_entry_bytes)
 
 
 def _store_one(tmp_path, value={"x": 1}):
@@ -63,8 +63,7 @@ def test_schema_mismatch_quarantines(tmp_path):
     assert cache.quarantined == 1
 
 
-@pytest.mark.parametrize("kind", [KIND_RESULT, KIND_BUILD, KIND_REPLAY,
-                                  KIND_STATS])
+@pytest.mark.parametrize("kind", [KIND_RESULT, KIND_REPLAY, KIND_STATS])
 @pytest.mark.parametrize("corrupt", ["torn", "flip"])
 def test_every_kind_quarantines_torn_and_flipped(tmp_path, kind, corrupt):
     """The quarantine contract holds for all four artifact kinds —
@@ -161,36 +160,48 @@ def test_oversized_entry_is_skipped(tmp_path, monkeypatch):
     assert not cache._path(key).exists()
 
 
-def test_oversized_build_warns_once_per_call(tmp_path, monkeypatch):
+def test_oversized_trace_warns_once_per_call(tmp_path, monkeypatch):
+    import warnings
+
     from repro.config import SystemConfig
-    from repro.workloads.build_cache import build_workload_cached
+    from repro.sim.run import run_workload
+    from repro.workloads.build_cache import resolve_trace
 
     monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.0001")
     cache = ResultCache(tmp_path)
-    with pytest.warns(UserWarning, match="REPRO_CACHE_MAX_MB"):
-        wl = build_workload_cached("histogram", 1.0 / 256.0, 42,
-                                   SystemConfig.ooo8(), cache=cache)
-    assert wl.space is not None  # still built and usable
+    config = SystemConfig.ooo8()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = resolve_trace("histogram", 1.0 / 256.0, 42, config, cache)
+    assert [str(w.message) for w in caught
+            if "REPRO_CACHE_MAX_MB" in str(w.message)] == [
+        "replay cache: histogram (scale=0.00390625) exceeds "
+        "$REPRO_CACHE_MAX_MB, not cached"]
     assert cache.disk_stats()["entries"] == 0
+    result = run_workload(trace, config=config, scale=1.0 / 256.0)
+    assert result.cycles > 0  # still recorded and usable
 
 
-def test_unpicklable_build_warns_and_degrades(tmp_path, monkeypatch):
-    import repro.workloads
+def test_unpicklable_trace_warns_and_degrades(tmp_path, monkeypatch):
+    import repro.sim.replay
     from repro.config import SystemConfig
-    from repro.workloads.build_cache import build_workload_cached
+    from repro.eval import result_cache
 
-    real = repro.workloads.base.make_workload
+    real = repro.sim.replay.record_trace
 
-    def poison(name, **kwargs):
-        wl = real(name, **kwargs)
-        wl._unpicklable = lambda: None  # lambdas cannot pickle
-        return wl
+    def poison(wl, config_fp):
+        trace = real(wl, config_fp)
+        trace._unpicklable = lambda: None  # lambdas cannot pickle
+        return trace
 
-    monkeypatch.setattr("repro.workloads.build_cache.make_workload",
-                        poison)
-    cache = ResultCache(tmp_path)
-    with pytest.warns(UserWarning, match="unpicklable"):
-        wl = build_workload_cached("histogram", 1.0 / 256.0, 42,
-                                   SystemConfig.ooo8(), cache=cache)
-    assert wl.space is not None
-    assert cache.disk_stats()["entries"] == 0
+    monkeypatch.setattr(repro.sim.replay, "record_trace", poison)
+    monkeypatch.setattr(result_cache, "_default_cache",
+                        ResultCache(tmp_path))
+    from repro.sim.run import run_workload
+    with pytest.warns(UserWarning, match="unpicklable") as caught:
+        result = run_workload("histogram", config=SystemConfig.ooo8(),
+                              scale=1.0 / 256.0)
+    assert len([w for w in caught if "unpicklable" in str(w.message)]) == 1
+    assert result.cycles > 0  # the run still completes
+    kinds = result_cache._default_cache.disk_stats(by_kind=True)["kinds"]
+    assert "replay" not in kinds

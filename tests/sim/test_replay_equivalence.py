@@ -199,15 +199,13 @@ def test_foreign_value_under_trace_key_is_a_miss(cache_dir):
                              cache=cache) is None
 
 
-def test_no_replay_env_disables_fast_path(cache_dir, monkeypatch):
+def test_no_build_cache_disables_fast_path(cache_dir):
     config = SystemConfig.ooo8()
-    monkeypatch.setenv("REPRO_NO_REPLAY", "1")
     result = run_workload("bfs_push", ExecMode.NS, config=config,
-                          scale=SCALE)
+                          scale=SCALE, use_build_cache=False)
     assert "run.replay" not in result.profile
     assert "run.record" not in result.profile
     assert load_trace_cached("bfs_push", SCALE, 42, config) is None
-    monkeypatch.delenv("REPRO_NO_REPLAY")
     live = _live("bfs_push", ExecMode.NS, config)
     _assert_identical(live, result)
 

@@ -25,7 +25,7 @@ from repro.sim.run import run_workload
 from repro.sim.tracestats import compute_phase_stats, hops_matrix
 from repro.workloads import all_workload_names
 from repro.workloads.build_cache import load_stats_cached, \
-    load_trace_cached, stats_key, store_stats_cached
+    load_trace_cached, resolve_trace, stats_key, store_stats_cached
 
 SCALE = 1.0 / 256.0
 ALL_WORKLOADS = all_workload_names()
@@ -101,18 +101,17 @@ def test_stats_bundle_bit_identical(workload, mesh, cache_dir):
 
 
 @pytest.mark.parametrize("mesh", MESHES)
-def test_cross_mode_warm_equals_uncached(mesh, cache_dir, monkeypatch):
+def test_cross_mode_warm_equals_uncached(mesh, cache_dir):
     """Every mode replayed from the persisted bundle matches the same
-    mode with the stats cache disabled (geometry recomputed)."""
+    mode replayed without it (geometry recomputed in process)."""
     config = SystemConfig.paper_mesh(mesh)
     run_workload("bfs_push", config=config, scale=SCALE)  # populate
     for mode in (ExecMode.BASE, ExecMode.INST, ExecMode.NS,
                  ExecMode.NS_DECOUPLE):
-        monkeypatch.delenv("REPRO_NO_STATS_CACHE", raising=False)
         warm = run_workload("bfs_push", mode, config=config, scale=SCALE)
         assert "run.record_stats" not in warm.profile
-        monkeypatch.setenv("REPRO_NO_STATS_CACHE", "1")
-        live = run_workload("bfs_push", mode, config=config, scale=SCALE)
+        no_bundle = load_trace_cached("bfs_push", SCALE, 42, config)
+        live = run_workload(no_bundle, mode, config=config, scale=SCALE)
         assert warm.to_dict() == live.to_dict()
 
 
@@ -193,17 +192,21 @@ def test_stale_bundle_falls_back_to_recompute(cache_dir):
     assert doctored.to_dict() == clean.to_dict()
 
 
-def test_env_var_disables_stats_cache(cache_dir, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_STATS_CACHE", "1")
-    off_a = run_workload("histogram", scale=SCALE)
-    off_b = run_workload("histogram", scale=SCALE)
+def test_no_bundle_run_recomputes_stats(cache_dir):
+    """A trace loaded without adopting its bundle recomputes geometry in
+    process and stores nothing; a string-named run then persists it."""
+    config = SystemConfig.ooo8()
+    cache = result_cache.get_default_cache()
+    resolve_trace("histogram", SCALE, 42, config, cache)  # trace only
+    off_a = run_workload(load_trace_cached("histogram", SCALE, 42, config),
+                         scale=SCALE)
+    off_b = run_workload(load_trace_cached("histogram", SCALE, 42, config),
+                         scale=SCALE)
     assert off_a.to_dict() == off_b.to_dict()
     assert "run.record_stats" not in off_a.profile
-    cache = result_cache.get_default_cache()
     kinds = cache.disk_stats(by_kind=True)["kinds"]
-    assert "stats" not in kinds  # replay + build only
+    assert "stats" not in kinds  # replay only
 
-    monkeypatch.delenv("REPRO_NO_STATS_CACHE")
     on = run_workload("histogram", scale=SCALE)
     assert on.to_dict() == off_a.to_dict()
     assert "run.record_stats" in on.profile
@@ -249,4 +252,5 @@ def test_cache_stats_cli_reports_stats_kind(cache_dir, capsys):
     assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
     out = capsys.readouterr().out
     assert "stats" in out
-    assert "replay" in out and "build" in out
+    assert "replay" in out
+    assert "build" not in out  # workloads are never pickled

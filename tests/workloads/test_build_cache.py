@@ -1,80 +1,109 @@
-"""The content-keyed workload-build cache."""
+"""The functional-artifact resolver and the store it fills.
 
-import numpy as np
+A run's functional pass persists exactly two artifact kinds — the
+functional trace (``replay``) and its derived-geometry bundle
+(``stats``).  The built workload itself is never stored.
+"""
+
 import pytest
 
 from repro.config import SystemConfig
+from repro.eval import result_cache as rc
 from repro.eval.result_cache import ResultCache
+from repro.eval.sweep import SweepPoint, run_sweep
 from repro.mem.address import AddressSpace
+from repro.offload.modes import ExecMode
 from repro.sim.run import run_workload
-from repro.workloads.build_cache import build_key, build_workload_cached
+from repro.workloads.build_cache import resolve_trace, stats_key, trace_key
 
 SCALE = 1.0 / 256.0
 CFG = SystemConfig.ooo8()
 
 
-def test_build_key_is_content_addressed():
-    a = build_key("memset", SCALE, 42, CFG)
-    assert a == build_key("memset", SCALE, 42, SystemConfig.ooo8())
-    assert a != build_key("vecsum", SCALE, 42, CFG)
-    assert a != build_key("memset", SCALE / 2, 42, CFG)
-    assert a != build_key("memset", SCALE, 43, CFG)
-    assert a != build_key("memset", SCALE, 42, SystemConfig.io4())
+@pytest.fixture
+def default_cache(tmp_path, monkeypatch):
+    """An isolated process-wide cache for string-named runs."""
+    cache = ResultCache(tmp_path)
+    monkeypatch.setattr(rc, "_default_cache", cache)
+    return cache
+
+
+def test_trace_key_is_content_addressed():
+    a = trace_key("memset", SCALE, 42, CFG)
+    assert a == trace_key("memset", SCALE, 42, SystemConfig.ooo8())
+    assert a != trace_key("vecsum", SCALE, 42, CFG)
+    assert a != trace_key("memset", SCALE / 2, 42, CFG)
+    assert a != trace_key("memset", SCALE, 43, CFG)
+    assert a != trace_key("memset", SCALE, 42, SystemConfig.io4())
+    # Pinned: stores filled by earlier versions must keep hitting.
+    assert a == ("bd7248dde6dd74ac69f2b5b0d7cd8b42"
+                 "46779b2ef64cb0432a6c2aa2931b4397")
+    assert stats_key("memset", SCALE, 42, CFG) == (
+        "6a72f6d2d64f57aa2b67edb93d9d2698"
+        "13786b18a043f66bf37f7167635e7d42")
 
 
 def test_cold_build_stores_warm_build_loads(tmp_path):
     cache = ResultCache(tmp_path)
-    cold = build_workload_cached("histogram", SCALE, 42, CFG, cache=cache)
-    assert (cache.hits, cache.misses) == (0, 1)
-    warm = build_workload_cached("histogram", SCALE, 42, CFG, cache=cache)
-    assert (cache.hits, cache.misses) == (1, 1)
+    cold = resolve_trace("histogram", SCALE, 42, CFG, cache)
+    assert (cache.hits, cache.misses) == (0, 2)  # trace + stats probes
+    assert not cold.has_stats_bundle
+    warm = resolve_trace("histogram", SCALE, 42, CFG, cache)
+    assert (cache.hits, cache.misses) == (1, 3)  # no bundle stored yet
     assert warm is not cold  # fresh object per lookup, no shared state
-    assert warm.name == cold.name
-    assert len(warm.phases()) == len(cold.phases())
+    assert warm.workload == cold.workload
+    assert len(warm.phases) == len(cold.phases)
 
 
 def test_cached_build_simulates_identically(tmp_path):
     cache = ResultCache(tmp_path)
+    live = run_workload("bfs_push", config=CFG, scale=SCALE,
+                        use_build_cache=False)
     results = []
     for _ in range(2):
-        wl = build_workload_cached("bfs_push", SCALE, 42, CFG, cache=cache)
-        r = run_workload(wl, config=CFG, scale=SCALE,
-                         use_build_cache=False)
-        results.append((r.cycles, r.traffic.total_byte_hops,
-                        r.energy_joules, r.core_uops_executed))
+        trace = resolve_trace("bfs_push", SCALE, 42, CFG, cache)
+        results.append(run_workload(trace, config=CFG, scale=SCALE))
     assert cache.hits == 1
-    assert results[0] == results[1]
+    assert results[0].to_dict() == results[1].to_dict() == live.to_dict()
 
 
-def test_custom_space_opts_out(tmp_path):
+def test_cold_run_stores_only_trace_and_stats(default_cache):
+    cold = run_workload("histogram", scale=SCALE)
+    kinds = default_cache.disk_stats(by_kind=True)["kinds"]
+    assert set(kinds) == {"replay", "stats"}
+    assert kinds["replay"]["entries"] == kinds["stats"]["entries"] == 1
+    misses = default_cache.misses
+    assert misses == 2  # the trace and stats probes; nothing else
+    warm = run_workload("histogram", scale=SCALE)
+    assert default_cache.misses == misses
+    assert default_cache.hits == 2
+    assert warm.to_dict() == cold.to_dict()
+
+
+def test_cold_sweep_stores_no_build(tmp_path):
     cache = ResultCache(tmp_path)
-    space = AddressSpace(CFG)
-    build_workload_cached("memset", SCALE, 42, CFG, space=space,
-                          cache=cache)
-    assert (cache.hits, cache.misses) == (0, 0)
+    points = [SweepPoint("histogram", m, CFG, scale=SCALE)
+              for m in (ExecMode.NS, ExecMode.BASE)]
+    cold = run_sweep(points, jobs=1, cache=cache)
+    assert cold.ok
+    kinds = cache.disk_stats(by_kind=True)["kinds"]
+    assert set(kinds) == {"result", "replay", "stats"}
+    assert "build" not in kinds
+    misses = cache.misses
+    warm = run_sweep(points, jobs=1, cache=cache)
+    assert cache.misses == misses
+    for point in points:
+        assert warm[point].to_dict() == cold[point].to_dict()
 
 
-def test_env_var_disables_build_cache(tmp_path, monkeypatch):
-    from repro.eval import result_cache as rc
-    monkeypatch.setattr(rc, "_default_cache", ResultCache(tmp_path))
-    monkeypatch.setenv("REPRO_NO_BUILD_CACHE", "1")
-    run_workload("memset", scale=SCALE)
-    assert rc._default_cache.misses == 0  # never consulted
-
-    monkeypatch.delenv("REPRO_NO_BUILD_CACHE")
-    run_workload("memset", scale=SCALE)
-    # Consulted and populated: the replay-trace probe missed, then the
-    # build lookup missed, then the stats-bundle probe missed, and the
-    # run recorded all three artifacts.
-    assert rc._default_cache.misses == 3
-    run_workload("memset", scale=SCALE)
-    # Replay + stats hits: no build lookup, nothing recomputed.
-    assert rc._default_cache.hits == 2
-    assert rc._default_cache.misses == 3
+def test_custom_space_opts_out(default_cache):
+    run_workload("memset", scale=SCALE, space=AddressSpace(CFG))
+    assert (default_cache.hits, default_cache.misses) == (0, 0)
+    assert default_cache.disk_stats()["entries"] == 0
 
 
-def test_use_build_cache_flag_disables(tmp_path, monkeypatch):
-    from repro.eval import result_cache as rc
-    monkeypatch.setattr(rc, "_default_cache", ResultCache(tmp_path))
-    run_workload("memset", scale=SCALE, use_build_cache=False)
-    assert (rc._default_cache.hits, rc._default_cache.misses) == (0, 0)
+def test_use_build_cache_flag_disables(default_cache):
+    result = run_workload("memset", scale=SCALE, use_build_cache=False)
+    assert (default_cache.hits, default_cache.misses) == (0, 0)
+    assert default_cache.disk_stats()["entries"] == 0
+    assert "run.compile" in result.profile  # compiled live, not replayed
