@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-quick replay-bench scale-bench stats-bench report sweep-fast sweep serve service-test chaos profile faults trace examples clean
+.PHONY: install test bench bench-quick replay-bench scale-bench stats-bench report sweep-fast sweep chaos profile faults trace examples clean
 
 # Workload/scale for `make profile`.
 W ?= bfs_push
@@ -53,24 +53,12 @@ SWEEP_W ?= bfs_push sssp histogram
 sweep:
 	$(PYTHON) -m repro sweep $(SWEEP_W) --journal sweep.jsonl --resume --watchdog 600
 
-# Long-lived sweep daemon on a unix socket: `repro submit`/`repro
-# status` from any shell share one scheduler, one cache, and one
-# journal; restart the daemon and it adopts everything the journal
-# holds (stop with `python -m repro serve --stop`).
-serve:
-	$(PYTHON) -m repro serve --journal service.jsonl --event-log events.jsonl --watchdog 600
-
-# Sweep-service suites: jobstore contract, daemon lifecycle
-# (dedup/reconnect/SIGKILL-restart), and the scheduler regressions the
-# service work flushed out (single-group watchdog, queue-wait billing).
-service-test:
-	$(PYTHON) -m pytest -x -q tests/service tests/eval/test_sweep_scheduler.py
-
 # Storage/worker chaos harness: seeded fault injection against the
-# cache store, journal durability, concurrent-writer stress, and the
-# SIGKILL-then-resume bit-identity suite.
+# cache store, journal durability, concurrent-writer stress, the
+# SIGKILL-then-resume bit-identity suite, and the scheduler regressions
+# (single-group watchdog, queue-wait billing).
 chaos:
-	$(PYTHON) -m pytest -x -q tests/fault/test_chaos.py tests/eval/test_journal.py tests/eval/test_concurrent_writers.py tests/eval/test_sweep_resume.py
+	$(PYTHON) -m pytest -x -q tests/fault/test_chaos.py tests/eval/test_journal.py tests/eval/test_concurrent_writers.py tests/eval/test_sweep_resume.py tests/eval/test_sweep_scheduler.py
 
 # Per-stage simulator wall-time breakdown (override with W=<workload>).
 profile:

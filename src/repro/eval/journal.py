@@ -45,7 +45,6 @@ JOURNAL_SCHEMA = 1
 #: Record kinds (``kind`` field).
 KIND_START = "sweep-start"
 KIND_POINT = "sweep-point"
-KIND_EVENT = "service-event"
 
 #: Point statuses (``status`` field).
 STATUS_OK = "ok"
@@ -136,8 +135,9 @@ class SweepJournal:
 
         Later records win for a repeated key (a point that failed, then
         succeeded on a retry or resume, counts as completed).  Never
-        raises on file content: every malformed record increments
-        ``corrupt`` and is skipped — the worst a hostile journal can do
+        raises on file content: every malformed record — including a
+        failure record whose ``attempts`` is not an integer — increments
+        ``corrupt`` and is skipped; the worst a hostile journal can do
         is force recomputation.
         """
         state = JournalState()
@@ -164,13 +164,18 @@ class SweepJournal:
                 state.completed[key] = result
                 state.failed.pop(key, None)
             elif status == STATUS_ERROR:
+                try:
+                    attempts = int(record.get("attempts", 1) or 1)
+                except (TypeError, ValueError, OverflowError):
+                    state.corrupt += 1
+                    continue
                 if key not in state.completed:
                     state.failed[key] = {
                         "stage": str(record.get("stage", "run")),
                         "error": str(record.get("error", "")),
                         "message": str(record.get("message", "")),
                         "traceback": str(record.get("traceback", "")),
-                        "attempts": int(record.get("attempts", 1) or 1),
+                        "attempts": attempts,
                     }
             else:
                 state.corrupt += 1
@@ -195,50 +200,3 @@ class SweepJournal:
         except Exception:  # noqa: BLE001 — any defect means recompute
             return None
 
-
-class EventLog:
-    """Durable, seq-numbered service-event stream (DESIGN.md §5h).
-
-    The ``repro serve`` daemon appends one record per progress event
-    (point-running/done/failed, job-accepted, ...) on the same
-    O_APPEND single-write machinery as the journal, so a client that
-    disconnects — or a daemon that is killed and restarted — can resume
-    the stream from any sequence number instead of losing history.
-    Like every other log in this repo, loading is paranoid: torn,
-    foreign, or unnumbered lines are skipped, never fatal.
-    """
-
-    def __init__(self, path: os.PathLike) -> None:
-        self.path = Path(path)
-        self.appended = 0
-
-    def exists(self) -> bool:
-        return self.path.exists()
-
-    def append(self, record: Dict[str, Any]) -> None:
-        """Append one event record (must carry an int ``seq``)."""
-        append_jsonl(self.path, {"kind": KIND_EVENT,
-                                 "schema": JOURNAL_SCHEMA, **record})
-        self.appended += 1
-
-    def load(self) -> list:
-        """Every trustworthy event record, ordered by sequence number."""
-        out = []
-        for record in iter_jsonl(self.path):
-            if record.get("kind") != KIND_EVENT:
-                continue
-            if record.get("schema") != JOURNAL_SCHEMA:
-                continue
-            if not isinstance(record.get("seq"), int):
-                continue
-            record = dict(record)
-            record.pop("kind")
-            record.pop("schema")
-            out.append(record)
-        out.sort(key=lambda r: r["seq"])
-        return out
-
-    def last_seq(self) -> int:
-        """The highest recorded sequence number (0 for a fresh log)."""
-        events = self.load()
-        return events[-1]["seq"] if events else 0

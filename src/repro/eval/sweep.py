@@ -179,10 +179,9 @@ class SweepResults(Dict[SweepPoint, SimResult]):
     def to_dict(self, verbose: bool = False) -> Dict[str, Any]:
         """JSON-ready view, stable in the caller's point order.
 
-        Used by ``repro sweep --json``, the daemon's status/result
-        replies, and the resume bit-identity checks: two sweeps over the
-        same points are equivalent iff their ``to_dict()`` outputs are
-        equal.  Failure records carry the full point identity (scale,
+        Used by ``repro sweep --json`` and the resume bit-identity
+        checks: two sweeps over the same points are equivalent iff their
+        ``to_dict()`` outputs are equal.  Failure records carry the full point identity (scale,
         seed, content key) so two failures of the same workload/mode at
         different scales stay distinguishable; ``verbose=True`` adds the
         clipped traceback.
@@ -314,14 +313,13 @@ def _run_group(payload: _Payload) -> List[Tuple]:
     Resolution is group work: it is charged to no point's profile.
 
     Returns one record per point — ``("ok", SimResult)`` or
-    ``("error", stage, exc_type, message, traceback)`` — so a mid-group
+    ``("error", stage, exc_type, message, traceback, attempts)`` — so a mid-group
     exception costs only its own point, never the group's completed work.
     """
     from repro.sim.run import run_workload
     from repro.workloads.build_cache import persist_stats, resolve_trace
 
-    points, cache_root = payload[0], payload[1]
-    hb_path = payload[2] if len(payload) > 2 else None
+    points, cache_root, hb_path = payload
 
     def _beat() -> None:
         if hb_path:
@@ -338,7 +336,7 @@ def _run_group(payload: _Payload) -> List[Tuple]:
                               first.config, cache)
     except Exception as exc:  # noqa: BLE001 — reported per point
         record = (_ERR, "build", type(exc).__name__, str(exc),
-                  clip_traceback(traceback.format_exc()))
+                  clip_traceback(traceback.format_exc()), 1)
         return [record for _ in points]
 
     records: List[Tuple] = []
@@ -354,7 +352,7 @@ def _run_group(payload: _Payload) -> List[Tuple]:
             records.append((_OK, result))
         except Exception as exc:  # noqa: BLE001 — reported per point
             records.append((_ERR, "run", type(exc).__name__, str(exc),
-                            clip_traceback(traceback.format_exc())))
+                            clip_traceback(traceback.format_exc()), 1))
 
     if cache is not None:
         # Persist the group's computed geometry so the next session's
@@ -488,9 +486,7 @@ def _dispatch_parallel(payloads: List[_Payload], jobs: int,
                     break
                 now = time.monotonic()
                 for future, i in list(pending.items()):
-                    hb_path = (payloads[i][2]
-                               if len(payloads[i]) > 2 else None)
-                    age = _heartbeat_age(hb_path)
+                    age = _heartbeat_age(payloads[i][2])
                     if age is not None and i not in start_at:
                         start_at[i] = now  # first heartbeat observed
                     if watchdog is not None and age is not None \
@@ -538,103 +534,47 @@ def _dispatch_parallel(payloads: List[_Payload], jobs: int,
     return outcomes
 
 
-def schedule_jobs(store: Any,
-                  keys: Optional[Iterable[str]] = None,
-                  jobs: Optional[int] = None,
-                  timeout: Optional[float] = None,
-                  retries: int = 2,
-                  backoff: float = 0.5,
-                  watchdog: Optional[float] = None) -> int:
-    """Compute every pending point of a job store; returns how many ran.
+def _run_groups(groups: List[List[SweepPoint]],
+                cache: Optional[ResultCache], jobs: Optional[int],
+                timeout: Optional[float], retries: int, backoff: float,
+                watchdog: Optional[float],
+                land: Callable[[int, List[Tuple]], None]) -> None:
+    """Run every functional group, handing each one's records to ``land``.
 
-    This is the one scheduler engine behind every frontend —
-    :func:`run_sweep`, ``repro sweep``, and the ``repro serve`` daemon
-    (DESIGN.md §5h).  ``store`` is a
-    :class:`~repro.eval.service.jobstore.JobStore` (anything with the
-    same surface works); the scheduler pulls its pending points
-    (restricted to ``keys`` when given), groups them by functional key
-    so every mode/knob of one (workload, scale, seed, config) shares a
-    single functional trace, and dispatches the groups.  Completed and
-    failed points are folded back into the store the moment they land —
-    the store persists them (journal, result cache) and notifies its
-    listeners, so progress is durable and observable mid-flight.
+    ``land(i, records)`` is called in this (the scheduling) process the
+    moment group ``i``'s outcome is final, retries included, so its
+    points are persisted before the next group ends.
 
     Whenever a ``timeout`` or ``watchdog`` is armed the groups run on a
     worker pool even for ``jobs=1`` or a single group, so the
-    heartbeat/deadline machinery protects *every* sweep — the old inline
-    shortcut silently accepted both knobs and enforced neither.  The
-    bare ``jobs=1``-and-unguarded case stays inline (no fork overhead,
-    and in-process monkeypatching keeps working for tests).
+    heartbeat/deadline machinery protects *every* sweep.  The bare
+    ``jobs=1``-and-unguarded case stays inline (no fork overhead, and
+    in-process monkeypatching keeps working for tests).
     """
-    todo = store.pending_points(keys)
-    if not todo:
-        return 0
-    groups: Dict[_GroupKey, List[SweepPoint]] = {}
-    for point in todo:
-        groups.setdefault(_group_key(point), []).append(point)
-    group_list = list(groups.values())
-
-    cache = store.cache
     cache_root = str(cache.root) if cache is not None else None
     jobs = resolve_jobs(jobs)
     timeout = resolve_timeout(timeout)
     watchdog = resolve_watchdog(watchdog)
     guarded = timeout is not None or watchdog is not None
-    use_pool = guarded or (jobs > 1 and len(group_list) > 1)
-
-    absorbed = set()
-
-    def _absorb(i: int, records: List[Tuple]) -> None:
-        """Fold one group's final records into the store.
-
-        Called the moment a group's outcome is final (including after
-        retries), in the scheduling process — so completed work is
-        persisted and journaled even if the sweep dies before the next
-        group ends.
-        """
-        if i in absorbed:
-            return
-        absorbed.add(i)
-        for point, record in zip(group_list[i], records):
-            if record[0] == _OK:
-                store.mark_done(point.key(), record[1])
-            else:
-                stage, err, msg, tb = record[1:5]
-                att = record[5] if len(record) > 5 else 1
-                store.mark_failed(FailedPoint(
-                    point=point, stage=stage, error=err, message=msg,
-                    traceback=clip_traceback(tb), attempts=att))
-
-    for point in todo:
-        store.mark_running(point.key())
-
-    hb_dir: Optional[tempfile.TemporaryDirectory] = None
-    try:
-        if use_pool:
-            # Heartbeat files let the dispatcher tell "hung" from
-            # "queued" and give the watchdog its staleness signal.
-            hb_dir = tempfile.TemporaryDirectory(prefix="repro-sweep-hb-")
-            payloads: List[_Payload] = [
-                (group, cache_root,
-                 os.path.join(hb_dir.name, f"group-{i}.hb"))
-                for i, group in enumerate(group_list)]
-            _dispatch_parallel(payloads, jobs, timeout,
-                               max(retries, 0), max(backoff, 0.0),
-                               watchdog=watchdog, on_outcome=_absorb)
-        else:
-            for i, group in enumerate(group_list):
-                payload: _Payload = (group, cache_root, None)
-                try:
-                    records = _run_group(payload)
-                except Exception as exc:  # noqa: BLE001 — degrade
-                    records = [(_ERR, "run", type(exc).__name__, str(exc),
-                                clip_traceback(traceback.format_exc()))
-                               for _ in group]
-                _absorb(i, records)
-    finally:
-        if hb_dir is not None:
-            hb_dir.cleanup()
-    return len(todo)
+    if not guarded and (jobs <= 1 or len(groups) <= 1):
+        for i, group in enumerate(groups):
+            try:
+                records = _run_group((group, cache_root, None))
+            except Exception as exc:  # noqa: BLE001 — degrade
+                records = [(_ERR, "run", type(exc).__name__, str(exc),
+                            clip_traceback(traceback.format_exc()), 1)
+                           for _ in group]
+            land(i, records)
+        return
+    # Heartbeat files let the dispatcher tell "hung" from "queued" and
+    # give the watchdog its staleness signal.
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-hb-") as hb_dir:
+        payloads: List[_Payload] = [
+            (group, cache_root, os.path.join(hb_dir, f"group-{i}.hb"))
+            for i, group in enumerate(groups)]
+        _dispatch_parallel(payloads, jobs, timeout, max(retries, 0),
+                           max(backoff, 0.0), watchdog=watchdog,
+                           on_outcome=land)
 
 
 def run_sweep(points: Iterable[SweepPoint],
@@ -666,47 +606,76 @@ def run_sweep(points: Iterable[SweepPoint],
     journal is active, SIGINT/SIGTERM raise :class:`SweepInterrupted`
     (→ exit code 130/143) after the journal is consistent.
 
+    Persistence follows where a result came from: a journal replay
+    writes nothing; a cache hit (one ``cache.lookup`` per remaining
+    point) is journaled but never re-stored; a computed result is
+    stored in the cache and journaled; a failure is journaled.  Points
+    are deduplicated by content key, and results and failures come
+    back in caller order.
+
     Never raises for per-point failures — completed points are returned
     and failures are described on ``.failures``.  Call
     :meth:`SweepResults.raise_on_failure` for the old strict behavior.
-
-    Since the sweep-service refactor this is a thin compatibility
-    wrapper: it loads a :class:`~repro.eval.service.jobstore.JobStore`
-    with the deduplicated points, satisfies what it can from the journal
-    (``resume=True``) and the result cache, hands the rest to
-    :func:`schedule_jobs` — the same engine the ``repro serve`` daemon
-    drives — and reads the :class:`SweepResults` back out of the store.
-    Results are bit-identical to the pre-refactor harness.
     """
-    # Imported lazily: the jobstore module imports this module's
-    # dataclasses at import time, so the dependency must stay one-way
-    # at module load.
-    from repro.eval.service.jobstore import JobStore
-
-    ordered: List[SweepPoint] = []
-    seen = set()
-    for point in points:
-        if point not in seen:
-            seen.add(point)
-            ordered.append(point)
-
-    if isinstance(journal, SweepJournal):
+    ordered = list(dict.fromkeys(points))
+    if isinstance(journal, SweepJournal) or journal is None:
         journal_obj: Optional[SweepJournal] = journal
-    elif journal is not None:
-        journal_obj = SweepJournal(journal)
     else:
-        journal_obj = None
+        journal_obj = SweepJournal(journal)
     if resume and journal_obj is None:
         raise ValueError("resume=True requires a journal "
                          "(pass journal=<path>)")
 
-    store = JobStore(journal=journal_obj, cache=cache)
+    # One entry per content key, in caller order; ``done`` and ``failed``
+    # fill in as points are satisfied.
+    distinct: Dict[str, SweepPoint] = {}
     for point in ordered:
-        store.add(point)
-    resumed = store.absorb_journal() if resume else 0
+        distinct.setdefault(point.key(), point)
+    done: Dict[str, SimResult] = {}
+    failed: Dict[str, FailedPoint] = {}
+
+    replayed = set()
+    if resume and journal_obj.exists():
+        completed = journal_obj.load().completed
+        for key in distinct:
+            hit = completed.get(key)
+            if isinstance(hit, SimResult):
+                done[key] = hit
+                replayed.add(key)
     if journal_obj is not None:
-        journal_obj.record_start(len(ordered), resumed=resumed)
-    store.absorb_cache()
+        journal_obj.record_start(len(ordered), resumed=len(replayed))
+    if cache is not None:
+        for key, point in distinct.items():
+            if key in done:
+                continue
+            hit = cache.lookup(key)
+            if isinstance(hit, SimResult):
+                done[key] = hit
+                if journal_obj is not None:
+                    journal_obj.record_ok(point, hit)
+
+    groups: Dict[_GroupKey, List[SweepPoint]] = {}
+    for key, point in distinct.items():
+        if key not in done:
+            groups.setdefault(_group_key(point), []).append(point)
+    group_list = list(groups.values())
+
+    def land(i: int, records: List[Tuple]) -> None:
+        for point, record in zip(group_list[i], records):
+            key = point.key()
+            if record[0] == _OK:
+                done[key] = record[1]
+                if cache is not None:
+                    cache.store(key, record[1])
+                if journal_obj is not None:
+                    journal_obj.record_ok(point, record[1])
+            else:
+                _, stage, err, msg, tb, attempts = record
+                failed[key] = FailedPoint(
+                    point=point, stage=stage, error=err, message=msg,
+                    traceback=clip_traceback(tb), attempts=attempts)
+                if journal_obj is not None:
+                    journal_obj.record_failure(failed[key])
 
     # While a journal is active, SIGINT/SIGTERM must flush-and-exit with
     # the conventional code instead of dying however the default
@@ -723,8 +692,9 @@ def run_sweep(points: Iterable[SweepPoint],
             except (ValueError, OSError):  # pragma: no cover
                 pass
     try:
-        schedule_jobs(store, jobs=jobs, timeout=timeout, retries=retries,
-                      backoff=backoff, watchdog=watchdog)
+        if group_list:
+            _run_groups(group_list, cache, jobs, timeout, retries, backoff,
+                        watchdog, land)
     finally:
         for sig, old in installed:
             try:
@@ -732,4 +702,12 @@ def run_sweep(points: Iterable[SweepPoint],
             except (ValueError, OSError):  # pragma: no cover
                 pass
 
-    return store.results_for(ordered)
+    results = SweepResults()
+    for point in ordered:
+        key = point.key()
+        if key in done:
+            results[point] = done[key]
+            results.resumed += key in replayed
+        elif key in failed:
+            results.failures.append(failed[key])
+    return results

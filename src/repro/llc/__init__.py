@@ -10,14 +10,11 @@
 * :mod:`~repro.llc.rangesync_batch` — the batched structure-of-arrays
   protocol engine: advances all concurrent episodes together and is
   bit-identical to the retained scalar reference.
-* :mod:`~repro.llc.arbiter` — round-robin issue among the streams a bank
-  serves concurrently (§IV-B "Streams are issued round-robin").
 * :mod:`~repro.llc.indirect` — efficient indirection support (§IV-C):
   intra-stream ordering checks, the indirect-reduction multicast collection,
   and the glue from atomic traces to the lock models.
 """
 
-from repro.llc.arbiter import ArbiterStream, RoundRobinArbiter
 from repro.llc.se_l3 import SEL3Model
 from repro.llc.rangesync import (
     ProtocolParams,
@@ -34,8 +31,6 @@ from repro.llc.indirect import (
 )
 
 __all__ = [
-    "RoundRobinArbiter",
-    "ArbiterStream",
     "SEL3Model",
     "ProtocolParams",
     "ProtocolResult",

@@ -1,4 +1,4 @@
-"""Memory system: paging, NUCA mapping, caches, TLBs, coherence, locks, DRAM.
+"""Memory system: paging, NUCA mapping, caches, TLBs, and locks.
 
 This package is the substrate under both the baseline machine and the
 near-stream machine:
@@ -11,20 +11,15 @@ near-stream machine:
 * :mod:`~repro.mem.tlb` — TLB hit/miss model (page-granularity trace sim).
 * :mod:`~repro.mem.hierarchy` — private L1/L2 + shared-L3 footprint model and
   the prefetcher models (Bingo-like spatial at L1, stride at L2).
-* :mod:`~repro.mem.coherence` — MESI-style directory approximation: counts
-  invalidation/forward transactions caused by remote stream writes.
 * :mod:`~repro.mem.locks` — the exclusive vs multi-reader/single-writer
   (MRSW) line lock models for indirect atomics (§IV-C, Fig 16).
-* :mod:`~repro.mem.dram` — DDR4 bandwidth/latency model.
 """
 
 from repro.mem.address import AddressSpace, Region
 from repro.mem.cache import CacheModel, ReplacementPolicy
 from repro.mem.tlb import TlbModel
 from repro.mem.hierarchy import HierarchyModel, AccessProfile
-from repro.mem.coherence import CoherenceModel
 from repro.mem.locks import LockModel, LockKind, LockStats
-from repro.mem.dram import DramModel
 
 __all__ = [
     "AddressSpace",
@@ -34,9 +29,7 @@ __all__ = [
     "TlbModel",
     "HierarchyModel",
     "AccessProfile",
-    "CoherenceModel",
     "LockModel",
     "LockKind",
     "LockStats",
-    "DramModel",
 ]

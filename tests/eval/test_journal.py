@@ -5,8 +5,8 @@ import json
 import pickle
 
 from repro.config import SystemConfig
-from repro.eval.journal import (JOURNAL_SCHEMA, KIND_POINT, STATUS_OK,
-                                SweepJournal)
+from repro.eval.journal import (JOURNAL_SCHEMA, KIND_POINT, STATUS_ERROR,
+                                STATUS_OK, SweepJournal)
 from repro.eval.sweep import FailedPoint, SweepPoint
 from repro.offload.modes import ExecMode
 
@@ -90,12 +90,21 @@ def test_checksum_mismatch_and_bad_base64_are_corrupt(tmp_path):
     bad_b64 = dict(record, payload="!!!not-base64!!!")
     bad_schema = dict(record, schema=JOURNAL_SCHEMA + 1)
     no_key = {k: v for k, v in record.items() if k != "key"}
+    # schema-valid failure records whose attempt count is not an int:
+    # int() would raise ValueError, TypeError and OverflowError
+    failure = {"kind": KIND_POINT, "schema": JOURNAL_SCHEMA,
+               "status": STATUS_ERROR,
+               "key": _point(mode=ExecMode.BASE).key(),
+               "stage": "run", "error": "RuntimeError", "message": "boom"}
+    bad_attempts = [dict(failure, attempts=value)
+                    for value in ("x", [1], float("inf"))]
     with open(path, "a") as fh:
-        for bad in (bad_sum, bad_b64, bad_schema, no_key):
+        for bad in (bad_sum, bad_b64, bad_schema, no_key, *bad_attempts):
             fh.write(json.dumps(bad) + "\n")
     state = journal.load()
     assert state.completed == {point.key(): "value"}
-    assert state.corrupt == 4
+    assert not state.failed
+    assert state.corrupt == 7
 
 
 def test_unpicklable_payload_is_corrupt_not_fatal(tmp_path):

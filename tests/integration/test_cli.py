@@ -230,3 +230,28 @@ def test_cache_clear_quarantine_only(tmp_path, capsys):
     # live entries survived; only the quarantine was dropped
     assert ResultCache(tmp_path).lookup("ab" + "0" * 62) == "live"
     assert not list(ResultCache(tmp_path).quarantine_root.glob("*.pkl"))
+
+
+def test_building_the_parser_imports_no_asyncio():
+    """Every ``repro`` invocation builds the parser first, so it must not
+    drag in an event loop or any sweep-daemon module."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import json, sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = json.loads(out)
+    assert "asyncio" not in loaded
+    daemon_pkg = ["repro", "eval", "service"]
+    assert not [m for m in loaded if m.split(".")[:3] == daemon_pkg]
