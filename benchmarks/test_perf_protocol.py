@@ -2,12 +2,11 @@
 
 Three benches, all logging to ``$REPRO_BENCH_LOG`` (``BENCH_PR7.json``):
 
-* ``protocol_engine`` — captures the *actual* episode batches a bfs_push
-  run on a 16x16 mesh feeds the protocol engine, then times the retained
-  scalar reference against the batched engine on those exact parameters
+* ``batched_engine`` — captures the *actual* episode batches a bfs_push
+  run on a 16x16 mesh feeds the protocol engine, then times the scalar
+  reference oracle against the batched engine on those exact parameters
   (and on a synthetic cross-bank expansion of them, where the SoA pass
-  dominates).  This is the ISSUE's ">= 4x protocol-stage speedup"
-  number.
+  dominates).  This is the ">= 4x protocol-stage speedup" gate.
 * ``scaling`` — speedup and NoC traffic vs. tile count (64 / 256 / 1024
   tiles) for bfs_push, sssp, and the dense pathfinder stencil; the rows
   EXPERIMENTS.md's scaling section quotes.  (pathfinder is the dense
@@ -31,7 +30,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.eval.benchlog import mesh_fields
 from repro.eval.sweep import SweepPoint, run_sweep
-from repro.llc.rangesync import run_protocol_batch
+from repro.llc.rangesync import run_protocol_reference
 from repro.llc.rangesync_batch import run_batch
 from repro.offload.modes import ExecMode
 from repro.sim.run import run_workload
@@ -46,20 +45,25 @@ def _capture_episode_batches(workload, config):
     """The ProtocolParams batches a real run feeds the engine."""
     import repro.sim.phase as phase_mod
     captured = []
-    real = phase_mod.run_protocol_batch
+    real = phase_mod.run_batch
 
-    def recording(batch, tracer=None, labels=None, engine=None):
+    def recording(batch, tracer=None, labels=None):
         if batch:
             captured.append(list(batch))
-        return real(batch, tracer=tracer, labels=labels, engine=engine)
+        return real(batch, tracer=tracer, labels=labels)
 
-    phase_mod.run_protocol_batch = recording
+    phase_mod.run_batch = recording
     try:
         run_workload(workload, ExecMode.NS,
                      config=config, scale=SCALE)
     finally:
-        phase_mod.run_protocol_batch = real
+        phase_mod.run_batch = real
     return captured
+
+
+def _run_reference(batch):
+    """The scalar oracle over a batch: one episode at a time."""
+    return [run_protocol_reference(p) for p in batch]
 
 
 def _time_engine(fn, repeats):
@@ -70,7 +74,7 @@ def _time_engine(fn, repeats):
     return (time.perf_counter() - t0) / repeats
 
 
-def test_protocol_engine_speedup_16x16(bench_log):
+def test_batched_engine_speedup_16x16(bench_log):
     """Batched >= 4x the scalar reference on bfs_push's real episodes."""
     config = SystemConfig.paper_mesh(16)
     batches = _capture_episode_batches("bfs_push", config)
@@ -78,11 +82,9 @@ def test_protocol_engine_speedup_16x16(bench_log):
     episodes = [p for batch in batches for p in batch]
 
     t_ref = _time_engine(
-        lambda: [run_protocol_batch(b, engine="reference") for b in batches],
-        repeats=3)
+        lambda: [_run_reference(b) for b in batches], repeats=3)
     t_bat = _time_engine(
-        lambda: [run_protocol_batch(b, engine="batched") for b in batches],
-        repeats=3)
+        lambda: [run_batch(b) for b in batches], repeats=3)
     speedup = t_ref / max(t_bat, 1e-12)
 
     # The cross-bank shape: every captured episode concurrent on every
@@ -90,13 +92,12 @@ def test_protocol_engine_speedup_16x16(bench_log):
     # the SoA pass (vs the per-episode flat recurrence) earns its keep.
     cross_bank = episodes * max(config.num_cores // max(len(episodes), 1), 1)
     t_ref_x = _time_engine(
-        lambda: run_protocol_batch(cross_bank, engine="reference"),
-        repeats=1)
+        lambda: _run_reference(cross_bank), repeats=1)
     t_soa_x = _time_engine(
         lambda: run_batch(cross_bank, soa_min=1), repeats=1)
     soa_speedup = t_ref_x / max(t_soa_x, 1e-12)
 
-    bench_log("protocol_engine", workload="bfs_push", mode="ns",
+    bench_log("batched_engine", workload="bfs_push", mode="ns",
               episodes=len(episodes), batches=len(batches),
               reference_seconds=round(t_ref, 6),
               batched_seconds=round(t_bat, 6),

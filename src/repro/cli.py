@@ -422,74 +422,6 @@ def _mesh_config(args) -> Optional[SystemConfig]:
         return None
 
 
-def _profile_compare(args, mode, config) -> int:
-    """Run both protocol engines and print the per-stage delta table.
-
-    The value of ``--compare`` names the baseline engine; both runs must
-    produce bit-identical results (the engines' contract) or the command
-    fails, so a protocol-engine regression is one command away.
-    """
-    import time as _time
-    from repro.eval.benchlog import append_record, mesh_fields
-    from repro.eval.result_cache import get_default_cache
-    from repro.sim.run import run_workload
-    from repro.workloads.build_cache import persist_stats, resolve_trace
-
-    baseline = "reference" if args.compare == "ref" else "batched"
-    other = "batched" if baseline == "reference" else "reference"
-    # Resolve the functional trace (and its derived-geometry bundle) once
-    # and hand the same object to both engines: the comparison then
-    # measures the engines, not redundant geometry work — the in-process
-    # stats memo is shared across the two runs.
-    source, cache = args.workload, None
-    if not args.no_build_cache:
-        cache = get_default_cache()
-        source = resolve_trace(args.workload, args.scale, args.seed, config,
-                               cache)
-    runs = {}
-    for engine in (baseline, other):
-        t0 = _time.perf_counter()
-        result = run_workload(source, mode, config=config,
-                              scale=args.scale, seed=args.seed,
-                              use_build_cache=not args.no_build_cache,
-                              protocol_engine=engine)
-        runs[engine] = (result, _time.perf_counter() - t0)
-    if cache is not None:
-        persist_stats(source, config, cache)
-    if runs[baseline][0].to_dict() != runs[other][0].to_dict():
-        print(f"ENGINES DISAGREE on {args.workload}: {baseline} and "
-              f"{other} produced different results", file=sys.stderr)
-        return 1
-    base_stages = runs[baseline][0].profile
-    other_stages = runs[other][0].profile
-    names = sorted(set(base_stages) | set(other_stages),
-                   key=lambda n: -(base_stages[n].seconds
-                                   if n in base_stages else 0.0))
-    rows = []
-    for name in names:
-        b = base_stages[name].seconds if name in base_stages else 0.0
-        o = other_stages[name].seconds if name in other_stages else 0.0
-        rows.append([name, f"{b:.4f}", f"{o:.4f}", f"{o - b:+.4f}",
-                     f"{b / o:.2f}x" if o > 0 else "-"])
-    rows.append(["total (wall)", f"{runs[baseline][1]:.4f}",
-                 f"{runs[other][1]:.4f}",
-                 f"{runs[other][1] - runs[baseline][1]:+.4f}",
-                 f"{runs[baseline][1] / max(runs[other][1], 1e-9):.2f}x"])
-    print(format_table(
-        ["stage", f"{baseline} s", f"{other} s", "delta", f"{baseline}/"
-         f"{other}"],
-        rows,
-        title=f"{args.workload} {mode.value} engine comparison "
-              f"(results identical)"))
-    append_record("profile_compare", workload=args.workload,
-                  mode=mode.value, scale=args.scale,
-                  baseline=baseline,
-                  baseline_seconds=round(runs[baseline][1], 4),
-                  other=other, other_seconds=round(runs[other][1], 4),
-                  **mesh_fields(config))
-    return 0
-
-
 def cmd_profile(args) -> int:
     """Run one workload+mode and print the simulator's own stage profile."""
     import time as _time
@@ -504,8 +436,6 @@ def cmd_profile(args) -> int:
     config = _mesh_config(args)
     if config is None:
         return 2
-    if args.compare:
-        return _profile_compare(args, mode, config)
     t0 = _time.perf_counter()
     result = run_workload(args.workload, mode, config=config,
                           scale=args.scale, seed=args.seed,
@@ -537,22 +467,25 @@ def cmd_profile(args) -> int:
 
 def cmd_faults(args) -> int:
     """Sweep fault-injection rates and print the recovery-cost curve."""
-    from repro.fault import DEFAULT_RATES, fault_rate_curve, parse_sites
+    from repro.fault import DEFAULT_RATES, fault_rate_curve, parse_sites, \
+        plan_for
 
     if not _check_workload(args.workload):
         return 2
     mode = MODES[args.mode]
-    try:
-        sites = parse_sites(args.sites)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     if args.smoke:
         rates = (0.0, 1000.0)
         scale = min(args.scale, 1.0 / 256.0)
     else:
         rates = tuple(args.rates) if args.rates else DEFAULT_RATES
         scale = args.scale
+    try:
+        sites = parse_sites(args.sites)
+        for rate in rates:
+            plan_for(rate, sites)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     rows = fault_rate_curve(args.workload, mode=mode, rates=rates,
                             sites=sites, scale=scale, seed=args.seed,
                             fault_seed=args.fault_seed)
@@ -740,10 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fail unless the profiler stages account "
                              "for at least this fraction of the wall "
                              "time (e.g. 0.95)")
-    prof_p.add_argument("--compare", choices=("ref", "batched"),
-                        default=None,
-                        help="run both protocol engines (value = baseline)"
-                             " and print a per-stage delta table")
     prof_p.add_argument("--mesh", type=int, default=None, metavar="N",
                         help="run on an NxN mesh (paper_mesh preset) "
                              "instead of the default 8x8")
@@ -790,15 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    # Validate $REPRO_PROTOCOL_ENGINE before any sweep fans out: a typo
-    # would otherwise fail inside worker processes and surface as an
-    # opaque failed sweep point instead of this one-line hint.
-    try:
-        from repro.llc.rangesync import resolve_engine
-        resolve_engine()
-    except ValueError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return 2
     handlers = {"list": cmd_list, "run": cmd_run, "compare": cmd_compare,
                 "compile": cmd_compile, "table": cmd_table, "fig": cmd_fig,
                 "report": cmd_report, "cache": cmd_cache,

@@ -41,6 +41,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 import os
 import pickle
 import tempfile
@@ -85,13 +86,18 @@ _DEFAULT_MAX_MB = 512.0
 
 
 def max_entry_bytes() -> Optional[int]:
-    """The per-entry size cap from ``$REPRO_CACHE_MAX_MB`` (None = no cap)."""
+    """The per-entry size cap from ``$REPRO_CACHE_MAX_MB`` (None = no cap).
+
+    Malformed values (NaN included) fall back to the default; zero,
+    negative and infinite values mean no cap."""
     raw = os.environ.get(_ENV_MAX_MB, "").strip()
     try:
         mb = float(raw) if raw else _DEFAULT_MAX_MB
     except ValueError:
         mb = _DEFAULT_MAX_MB
-    if mb <= 0:
+    if math.isnan(mb):
+        mb = _DEFAULT_MAX_MB
+    if mb <= 0 or math.isinf(mb):
         return None
     return int(mb * 1024 * 1024)
 
@@ -173,7 +179,6 @@ def config_fingerprint(config: Any) -> str:
 
 def point_key(workload: str, mode: Any, config: Any, scale: float,
               seed: int, sample_cores: int,
-              recovery_rate: float = 0.0,
               fault_plan: Any = None) -> str:
     """Content hash identifying one (workload, mode, config) sweep point."""
     return fingerprint({
@@ -184,7 +189,8 @@ def point_key(workload: str, mode: Any, config: Any, scale: float,
         "scale": scale,
         "seed": seed,
         "sample_cores": sample_cores,
-        "recovery_rate": recovery_rate,
+        # Retired knob, kept so stored results and journals stay valid.
+        "recovery_rate": 0.0,
         "fault_plan": fault_plan,
     })
 

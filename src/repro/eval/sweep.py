@@ -13,8 +13,8 @@ resolves the content-keyed :class:`~repro.sim.replay.FunctionalTrace`
 once (:func:`~repro.workloads.build_cache.resolve_trace` loads it from
 the persistent cache, or builds the workload, records the trace and
 stores it), and every point — every offload mode, timing knob,
-sample_cores, recovery rate, and fault plan, none of which can change
-addresses or compute results — replays it.  An uncached sweep records
+sample_cores, and fault plan, none of which can change addresses or
+compute results — replays it.  An uncached sweep records
 the trace in memory only.
 
 Determinism: a group is self-contained — it derives everything from the
@@ -119,14 +119,13 @@ class SweepPoint:
     scale: float = 1.0 / 64.0
     seed: int = 42
     sample_cores: int = 4
-    recovery_rate: float = 0.0
     fault_plan: Optional[FaultPlan] = None
 
     def key(self) -> str:
         """Content hash for the persistent result cache and the journal."""
         return point_key(self.workload, self.mode, self.config, self.scale,
-                         self.seed, self.sample_cores, self.recovery_rate,
-                         self.fault_plan)
+                         self.seed, self.sample_cores,
+                         fault_plan=self.fault_plan)
 
 
 @dataclass
@@ -284,9 +283,9 @@ _GroupKey = Tuple[str, float, int, SystemConfig]
 
 def _group_key(point: SweepPoint) -> _GroupKey:
     """The functional key: everything that determines addresses and
-    compute results.  Modes, sample_cores, recovery rates, and fault
-    plans ride on top (faults are semantically invariant), so all of
-    them share one functional trace."""
+    compute results.  Modes, sample_cores, and fault plans ride on top
+    (faults are semantically invariant), so all of them share one
+    functional trace."""
     return (point.workload, point.scale, point.seed, point.config)
 
 
@@ -346,7 +345,6 @@ def _run_group(payload: _Payload) -> List[Tuple]:
             result = run_workload(trace, p.mode, config=p.config,
                                   scale=p.scale, seed=p.seed,
                                   sample_cores=p.sample_cores,
-                                  recovery_rate=p.recovery_rate,
                                   fault_plan=p.fault_plan,
                                   heartbeat=_beat if hb_path else None)
             records.append((_OK, result))

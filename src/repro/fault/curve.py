@@ -45,12 +45,14 @@ def fault_rate_curve(workload: str,
 
     The workload is built once and shared across every rate, so rows
     differ only by their fault plans; rate 0 is the fault-free reference
-    the slowdown column normalizes against.
+    the slowdown column normalizes against.  Every plan is built (and
+    so validated) before the workload is.
     """
     from repro.mem.address import AddressSpace
     from repro.sim.run import run_workload
     from repro.workloads import make_workload
 
+    plans = [plan_for(rate, sites, seed=fault_seed) for rate in rates]
     config = config or SystemConfig.ooo8()
     wl = make_workload(workload, scale=scale, seed=seed)
     wl.build(AddressSpace(config))
@@ -58,8 +60,7 @@ def fault_rate_curve(workload: str,
     rows: List[Dict[str, object]] = []
     base_cycles = None
     base_hops = None
-    for rate in rates:
-        plan = plan_for(rate, sites, seed=fault_seed)
+    for rate, plan in zip(rates, plans):
         result = run_workload(wl, mode, config=config, scale=scale,
                               seed=seed, sample_cores=sample_cores,
                               fault_plan=None if plan.is_null() else plan)

@@ -13,8 +13,8 @@ so that
 * functional results are untouched — faults only cost cycles, traffic and
   recovery episodes, never correctness (the semantic-invariance guarantee
   the property suite enforces);
-* ``recovery_rate`` becomes a *derived* statistic
-  (:attr:`FaultStats.derived_recovery_rate`) instead of a knob.
+* the recovery rate is a *derived* statistic
+  (:attr:`FaultStats.derived_recovery_rate`), never an input.
 
 Draws are keyed by (site, context) — phase and stream names — not by call
 order, so adding an unrelated stream never perturbs another stream's
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional, Tuple
@@ -71,8 +72,10 @@ class FaultPlan:
     def __post_init__(self) -> None:
         for name in ("alias_rate", "tlb_miss_rate", "lock_conflict_rate",
                      "scc_evict_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be a finite number >= 0, got {value!r}")
 
     @classmethod
     def uniform(cls, rate: float, seed: int = 0) -> "FaultPlan":
@@ -158,8 +161,7 @@ class FaultStats:
 
     @property
     def derived_recovery_rate(self) -> float:
-        """Realized recovery episodes per million offloaded iterations —
-        the statistic that used to be the ``recovery_rate`` input knob."""
+        """Realized recovery episodes per million offloaded iterations."""
         if self.offloaded_iterations <= 0:
             return 0.0
         return self.recovery_episodes * 1e6 / self.offloaded_iterations

@@ -8,8 +8,8 @@
   credits, ranges, commits, writebacks, done messages, and precise-state
   recovery episodes.
 * :mod:`~repro.llc.rangesync_batch` — the batched structure-of-arrays
-  protocol engine: advances all concurrent episodes together and is
-  bit-identical to the retained scalar reference.
+  protocol engine the simulator runs: advances all concurrent episodes
+  together and is bit-identical to the scalar reference test oracle.
 * :mod:`~repro.llc.indirect` — efficient indirection support (§IV-C):
   intra-stream ordering checks, the indirect-reduction multicast collection,
   and the glue from atomic traces to the lock models.
@@ -21,7 +21,6 @@ from repro.llc.rangesync import (
     ProtocolResult,
     RecoveryResult,
     run_protocol,
-    run_protocol_batch,
     run_protocol_reference,
     run_recovery,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "ProtocolResult",
     "RecoveryResult",
     "run_protocol",
-    "run_protocol_batch",
     "run_protocol_reference",
     "run_recovery",
     "IndirectOrdering",

@@ -25,25 +25,20 @@ episode (alias / context switch / fault, Fig 7 b-c).
 
 Two engines implement the episode:
 
-* the **reference** engine below (``run_protocol_reference``) — the
-  original event-driven simulation, retained as the property-tested
-  oracle exactly as ``cache_ref`` / ``analyze_reference`` were kept;
 * the **batched** engine in :mod:`~repro.llc.rangesync_batch` — a
-  structure-of-arrays pass over many episodes at once, bit-identical to
-  the reference and the default since it is what makes 16x16 / 32x32
-  meshes tractable.
-
-``run_protocol`` / ``run_protocol_batch`` dispatch between them; the
-``REPRO_PROTOCOL_ENGINE`` env var (or an explicit ``engine=`` argument)
-selects ``batched`` (default) or ``reference``.
+  structure-of-arrays pass over many episodes at once, and the only
+  engine the simulator runs, since it is what makes 16x16 / 32x32
+  meshes tractable (``run_protocol`` is its single-episode entry point);
+* the **reference** engine below (``run_protocol_reference``) — the
+  original event-driven simulation, retained as the test oracle the
+  batched engine is property-tested against, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.engine import Simulator
 from repro.noc.message import MessageType
@@ -288,37 +283,6 @@ class _ProtocolSim:
                               throughput=iters / cycles)
 
 
-#: Env var selecting the protocol engine for runs that don't pass an
-#: explicit ``engine=`` (``batched`` is the default).
-ENV_PROTOCOL_ENGINE = "REPRO_PROTOCOL_ENGINE"
-
-_ENGINE_ALIASES = {
-    "batched": "batched",
-    "soa": "batched",
-    "reference": "reference",
-    "ref": "reference",
-    "scalar": "reference",
-}
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Normalize an engine name to ``batched`` or ``reference``.
-
-    An explicit ``engine=`` wins; otherwise ``$REPRO_PROTOCOL_ENGINE``
-    is consulted; otherwise the batched engine is used.  Unknown names
-    raise with the accepted spellings so a typo'd env var fails loudly
-    instead of silently running the wrong engine.
-    """
-    if engine is None:
-        engine = os.environ.get(ENV_PROTOCOL_ENGINE) or "batched"
-    key = engine.strip().lower()
-    if key not in _ENGINE_ALIASES:
-        accepted = ", ".join(sorted(set(_ENGINE_ALIASES)))
-        raise ValueError(
-            f"unknown protocol engine {engine!r}; accepted: {accepted}")
-    return _ENGINE_ALIASES[key]
-
-
 def run_protocol_reference(params: ProtocolParams,
                            tracer: Optional[Tracer] = None,
                            label: str = "stream") -> ProtocolResult:
@@ -328,35 +292,11 @@ def run_protocol_reference(params: ProtocolParams,
 
 def run_protocol(params: ProtocolParams,
                  tracer: Optional[Tracer] = None,
-                 label: str = "stream",
-                 engine: Optional[str] = None) -> ProtocolResult:
+                 label: str = "stream") -> ProtocolResult:
     """Simulate one stream's range-sync episode (traced when asked)."""
-    if resolve_engine(engine) == "reference":
-        return run_protocol_reference(params, tracer=tracer, label=label)
     from repro.llc import rangesync_batch
     return rangesync_batch.run_batch([params], tracer=tracer,
                                      labels=[label])[0]
-
-
-def run_protocol_batch(batch: Sequence[ProtocolParams],
-                       tracer: Optional[Tracer] = None,
-                       labels: Optional[Sequence[str]] = None,
-                       engine: Optional[str] = None
-                       ) -> List[ProtocolResult]:
-    """Run many episodes at once through the selected engine.
-
-    The batched engine advances all episodes together (its whole point);
-    the reference engine just loops — same results, linear time.
-    """
-    if labels is not None and len(labels) != len(batch):
-        raise ValueError("labels must match batch length")
-    if resolve_engine(engine) == "reference":
-        if labels is None:
-            labels = ["stream"] * len(batch)
-        return [run_protocol_reference(p, tracer=tracer, label=label)
-                for p, label in zip(batch, labels)]
-    from repro.llc import rangesync_batch
-    return rangesync_batch.run_batch(batch, tracer=tracer, labels=labels)
 
 
 @dataclass

@@ -358,6 +358,8 @@ def run_batch(batch: Sequence[ProtocolParams],
     """
     if labels is None:
         labels = ["stream"] * len(batch)
+    elif len(labels) != len(batch):
+        raise ValueError("labels must match batch length")
     if tracer is not None:
         return [_EpisodeReplay(p, tracer, label).run()
                 for p, label in zip(batch, labels)]

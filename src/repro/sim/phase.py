@@ -28,8 +28,8 @@ from repro.fault.plan import FaultPlan, FaultSite, FaultStats
 from repro.isa.pattern import AddressPatternKind, ComputeKind
 from repro.isa.stream import Stream
 from repro.llc.indirect import atomic_window, indirect_reduction_messages
-from repro.llc.rangesync import ProtocolParams, run_protocol_batch, \
-    run_recovery
+from repro.llc.rangesync import ProtocolParams, run_recovery
+from repro.llc.rangesync_batch import run_batch
 from repro.llc.se_l3 import SEL3Model
 from repro.mem.tlb import page_walk_cycles
 from repro.mem.address import AddressSpace, LINE_SHIFT
@@ -103,29 +103,21 @@ class PhaseEngine:
                  mesh: Mesh, flow: FlowModel, shared_l3: SharedL3Model,
                  hierarchies: List[HierarchyModel],
                  sample_cores: int = 4,
-                 recovery_rate: float = 0.0,
                  profiler: Optional[Profiler] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  tracer: Optional[Tracer] = None,
-                 stats: Optional[Dict[str, StreamStats]] = None,
-                 protocol_engine: Optional[str] = None) -> None:
-        """``recovery_rate``: precise-state restorations (alias false
-        positives, context switches, faults — Fig 7 b/c) per million
-        offloaded iterations. Each costs an end/writeback/done episode
-        plus re-execution of the discarded uncommitted window.
-
-        ``fault_plan`` injects discrete faults at the real protocol sites
-        (SE_L3 TLB aborts, alias false positives, MRSW conflicts, SCC
-        evictions) with a seeded RNG; ``recovery_rate`` then shows up as
-        the *derived* statistic in the phase's :class:`FaultStats`.
+                 stats: Optional[Dict[str, StreamStats]] = None) -> None:
+        """``fault_plan`` injects discrete precise-state restorations
+        (Fig 7 b/c) at the real protocol sites (SE_L3 TLB aborts, alias
+        false positives, MRSW conflicts, SCC evictions) with a seeded RNG.
+        Each costs an end/writeback/done episode plus re-execution of the
+        discarded uncommitted window; the realized recovery rate is the
+        *derived* statistic in the phase's :class:`FaultStats`.
 
         ``stats`` supplies precomputed per-stream :class:`StreamStats`
         (the replay path shares one computation across modes); stats are
         pure in (trace, space, mesh), so passing them is observationally
-        identical to computing them here.
-
-        ``protocol_engine`` selects the range-sync engine (``batched`` /
-        ``reference``); ``None`` defers to ``$REPRO_PROTOCOL_ENGINE``."""
+        identical to computing them here."""
         self.config = config
         self.space = space
         self.program = program
@@ -137,7 +129,6 @@ class PhaseEngine:
         self.hierarchies = hierarchies
         self.n_cores = config.num_cores
         self.sample_cores = min(sample_cores, self.n_cores, len(hierarchies))
-        self.recovery_rate = recovery_rate
         self.hmat = hops_matrix(mesh)
         self.pipeline = PipelineModel(config.core)
         self.tracer = tracer
@@ -156,7 +147,6 @@ class PhaseEngine:
         self.events = EventCounts()
         self.lock_stats: Optional[LockStats] = None
         self._protocol_cache: Dict[Tuple, object] = {}
-        self.protocol_engine = protocol_engine
         self.profiler = profiler if profiler is not None else Profiler()
         # A null plan is normalized away so fault-free runs stay strict
         # no-ops (no RNGs constructed, no stats attached).
@@ -797,12 +787,11 @@ class PhaseEngine:
         """Run every eligible stream's episode through one engine batch.
 
         This is where the batched engine earns its keep: instead of one
-        engine invocation per ``protocol_for`` call (linear in bank and
-        stream count), all concurrent episodes of the phase advance in a
-        single structure-of-arrays pass. ``protocol_for`` then serves
-        results from the cache, with a lazy single-episode fallback for
-        the callers that reach streams this pass skips (e.g. the legacy
-        recovery knob, which does not filter empty streams).
+        engine invocation per stream (linear in bank and stream count),
+        all concurrent episodes of the phase advance in a single
+        structure-of-arrays pass. ``protocol_for`` then reads results from
+        the cache; its callers skip the same empty streams this pass does,
+        so every read of an offloaded stream hits.
         """
         entries = []
         for stream in self.program.graph:
@@ -810,35 +799,27 @@ class PhaseEngine:
             if stats is None or stats.elements == 0:
                 continue
             prepared = self._protocol_params(stream, stats)
-            if prepared is None or prepared[0] in self._protocol_cache:
+            if prepared is None:
                 continue
             entries.append((stream, prepared))
         if not entries:
             return
-        results = run_protocol_batch(
+        results = run_batch(
             [params for _, (_, params, _) in entries],
             tracer=self.tracer,
             labels=[f"{self.phase.kernel.name}/{stream.name}"
-                    for stream, _ in entries],
-            engine=self.protocol_engine)
+                    for stream, _ in entries])
         for (_, (key, _, chunks)), result in zip(entries, results):
             self._protocol_cache[key] = (result, chunks)
 
     def protocol_for(self, stream: Stream,
                      stats: StreamStats) -> Optional[object]:
-        """Run the range-sync protocol for one offloaded stream (per core)."""
+        """One offloaded stream's (per-core) range-sync episode result and
+        chunk count, as computed by the last :meth:`_prepare_protocols`."""
         prepared = self._protocol_params(stream, stats)
         if prepared is None:
             return None
-        key, params, chunks = prepared
-        if key in self._protocol_cache:
-            return self._protocol_cache[key]
-        result = run_protocol_batch(
-            [params], tracer=self.tracer,
-            labels=[f"{self.phase.kernel.name}/{stream.name}"],
-            engine=self.protocol_engine)[0]
-        self._protocol_cache[key] = (result, chunks)
-        return self._protocol_cache[key]
+        return self._protocol_cache.get(prepared[0])
 
     def _credit_chunks(self, stream: Stream, stats: StreamStats,
                        elements_per_line: float) -> int:
@@ -1125,19 +1106,17 @@ class PhaseEngine:
     def _recovery_overhead(self) -> float:
         """Cost of precise-state restorations (Fig 7 b/c).
 
-        Two sources: the legacy uniform ``recovery_rate`` knob, and
-        discrete episodes injected by the :class:`FaultPlan` at real
-        protocol sites.  Under sync-free there is no per-iteration precise
-        point, but coarse-grain recovery is still possible (§V) at the
-        same episode cost. Each episode ends the offloaded streams, waits
-        for committed writebacks, discards the uncommitted window, and
-        re-runs it in-core (modeled at one uop-pair per discarded
-        iteration).
+        Episodes come only from the :class:`FaultPlan`, injected at real
+        protocol sites; without a plan there are none.  Under sync-free
+        there is no per-iteration precise point, but coarse-grain
+        recovery is still possible (§V) at the same episode cost. Each
+        episode ends the offloaded streams, waits for committed
+        writebacks, discards the uncommitted window, and re-runs it
+        in-core (modeled at one uop-pair per discarded iteration).
         """
-        cycles = self._legacy_recovery_overhead()
-        if self.fault_plan is not None:
-            cycles += self._injected_fault_overhead()
-        return cycles
+        if self.fault_plan is None:
+            return 0.0
+        return self._injected_fault_overhead()
 
     def _recovery_params(self, stream: Stream, stats: StreamStats
                          ) -> ProtocolParams:
@@ -1150,39 +1129,6 @@ class PhaseEngine:
             back_latency=self.flow.mean_latency(
                 MessageType.STREAM_DONE, stats.mean_hops_core_bank),
             max_credit_chunks=self._credit_chunks(stream, stats, 1.0))
-
-    def _legacy_recovery_overhead(self) -> float:
-        """The uniform ``recovery_rate`` input knob (pre-fault-plan path)."""
-        if self.recovery_rate <= 0:
-            return 0.0
-        offloaded_iters = 0.0
-        params = None
-        for stream in self.program.graph:
-            plan = self.plans[stream.sid]
-            stats = self._stream_stats(stream)
-            if stats is None or not plan.placement.at_llc:
-                continue
-            offloaded_iters += stats.elements * self.up / self.n_cores
-            if params is None:
-                entry = self.protocol_for(stream, stats)
-                if entry is not None:
-                    result, _ = entry
-            if params is None:
-                params = self._recovery_params(stream, stats)
-        if params is None or offloaded_iters == 0:
-            return 0.0
-        episodes = offloaded_iters * self.recovery_rate / 1e6
-        # Untracked recovery events: the uniform-rate knob has no fault
-        # schedule, so the sanitizer has nothing to pair them with.
-        recovery = run_recovery(params, tracer=self.tracer)
-        reexecute = recovery.discarded_iterations * 2.0 \
-            / self.pipeline.effective_width
-        per_episode = recovery.cycles + reexecute
-        self._inject_mean(MessageType.STREAM_END, episodes,
-                          self.mesh.average_hops())
-        self._inject_mean(MessageType.STREAM_DONE, episodes,
-                          self.mesh.average_hops())
-        return episodes * per_episode
 
     def _injected_fault_overhead(self) -> float:
         """Discrete fault episodes drawn from the seeded plan.

@@ -32,11 +32,9 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
                  seed: int = 42,
                  sample_cores: int = 4,
                  space: Optional[AddressSpace] = None,
-                 recovery_rate: float = 0.0,
                  use_build_cache: bool = True,
                  fault_plan: Optional[FaultPlan] = None,
                  tracer: Optional[Tracer] = None,
-                 protocol_engine: Optional[str] = None,
                  heartbeat: Optional[Callable[[], None]] = None
                  ) -> SimResult:
     """Simulate one workload under one execution mode.
@@ -67,12 +65,11 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
     live run: the workload is built and its kernels compiled in this
     call, and the store is neither read nor written.
 
-    ``recovery_rate`` injects precise-state restoration episodes (alias
-    false positives / context switches / faults, Fig 7 b-c) per million
-    offloaded iterations.
-
-    ``fault_plan`` instead injects seeded, discrete faults at the real
-    protocol sites (:mod:`repro.fault`); the run's realized recovery rate
+    ``fault_plan`` injects precise-state restoration episodes (alias
+    false positives, SE_L3 TLB aborts, MRSW conflicts, SCC evictions,
+    Fig 7 b-c) as seeded, discrete faults at the real protocol sites
+    (:mod:`repro.fault`); it is the only recovery model, and without a
+    plan a run has no recovery episodes.  The run's realized recovery rate
     and episode accounting come back in ``SimResult.faults``.  Faults are
     semantically invariant: functional results and final memory state are
     bit-identical to the fault-free run — only cycles, traffic, and
@@ -85,11 +82,6 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
     implicitly enables a strict sanitizing tracer.  The run's metrics
     snapshot lands on ``SimResult.trace`` (like ``profile``, excluded
     from equality and serialization).
-
-    ``protocol_engine`` picks the range-sync engine (``batched``, the
-    default, or the scalar ``reference``); ``None`` defers to
-    ``$REPRO_PROTOCOL_ENGINE``.  Both engines are bit-identical, so the
-    choice never changes results — only how fast protocol episodes run.
 
     ``heartbeat`` is an optional zero-arg liveness callback invoked at
     each phase boundary; sweep workers pass one so a hung phase is
@@ -173,10 +165,8 @@ def run_workload(workload: Union[str, Workload, FunctionalTrace],
                                  machine.mesh, flow, machine.shared_l3,
                                  machine.hierarchies,
                                  sample_cores=sample_cores,
-                                 recovery_rate=recovery_rate,
                                  profiler=profiler, fault_plan=fault_plan,
-                                 tracer=tracer, stats=stats,
-                                 protocol_engine=protocol_engine)
+                                 tracer=tracer, stats=stats)
         outcome = engine.execute()
         if outcome.fault_stats is not None:
             fault_stats = (outcome.fault_stats if fault_stats is None

@@ -11,8 +11,8 @@ run reads it once its trace exists.
 :func:`resolve_trace` is the one place that loads a trace, or builds the
 workload and records one, and adopts the trace's stored stream-geometry
 :class:`~repro.sim.replay.StatsBundle`.  :func:`~repro.sim.run.
-run_workload`, sweep groups and ``repro profile --compare`` all call it,
-then :func:`persist_stats` once their runs have computed the geometry.
+run_workload` and sweep groups both call it, then
+:func:`persist_stats` once their runs have computed the geometry.
 
 Artifacts live in the same ``.repro_cache/`` store as simulation results
 (:mod:`repro.eval.result_cache`), under keys that mix in the workload's

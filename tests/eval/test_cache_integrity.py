@@ -148,6 +148,10 @@ def test_max_entry_bytes_env(monkeypatch):
     assert max_entry_bytes() is None
     monkeypatch.setenv("REPRO_CACHE_MAX_MB", "banana")
     assert max_entry_bytes() == int(512 * 1024 * 1024)
+    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "nan")
+    assert max_entry_bytes() == int(512 * 1024 * 1024)
+    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "inf")
+    assert max_entry_bytes() is None
 
 
 def test_oversized_entry_is_skipped(tmp_path, monkeypatch):

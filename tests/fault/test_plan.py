@@ -11,6 +11,13 @@ def test_rates_must_be_non_negative():
         FaultPlan(alias_rate=-1.0)
     with pytest.raises(ValueError):
         FaultPlan(tlb_miss_rate=-0.5)
+    # NaN compares false against 0, so a sign check alone lets it through
+    # to the binomial draw.
+    for bad in (float("nan"), float("inf")):
+        for name in ("alias_rate", "tlb_miss_rate", "lock_conflict_rate",
+                     "scc_evict_rate"):
+            with pytest.raises(ValueError, match="finite"):
+                FaultPlan(**{name: bad})
 
 
 def test_uniform_and_null():

@@ -150,21 +150,24 @@ def test_bad_mesh_rejected_with_hint(command, mesh, capsys):
     assert "Traceback" not in err
 
 
-def test_bad_engine_env_rejected_before_sweep(monkeypatch, capsys):
-    """A typoed $REPRO_PROTOCOL_ENGINE exits 2 with the accepted list
-    instead of failing opaquely inside sweep workers."""
-    monkeypatch.setenv("REPRO_PROTOCOL_ENGINE", "bogus")
-    assert main(["run", "memset", *SMALL]) == 2
+@pytest.mark.parametrize("rates", [["--rates", "nan"], ["--rates=-5"],
+                                   ["--rates", "inf"],
+                                   ["--rates", "0", "nan"]],
+                         ids=["nan", "negative", "inf", "nan-after-zero"])
+def test_faults_rejects_bad_rates_before_building(rates, monkeypatch,
+                                                  capsys):
+    """A NaN, infinite or negative rate exits 2 with a one-line message
+    before any workload is built."""
+    import repro.workloads as workloads
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("workload built before rates were checked")
+
+    monkeypatch.setattr(workloads, "make_workload", no_build)
+    assert main(["faults", "memset", *rates, *SMALL]) == 2
     err = capsys.readouterr().err
-    assert "unknown protocol engine" in err and "batched" in err
-
-
-def test_profile_compare_engines(capsys):
-    assert main(["profile", "memset", "--compare", "ref", *SMALL]) == 0
-    out = capsys.readouterr().out
-    assert "results identical" in out
-    assert "reference s" in out and "batched s" in out
-    assert "total (wall)" in out
+    assert "finite number >= 0" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_sweep_command_with_journal_and_resume(tmp_path, capsys):

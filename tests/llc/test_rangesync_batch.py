@@ -11,13 +11,7 @@ histograms accumulate in the same float order.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.llc import (
-    ProtocolParams,
-    run_protocol,
-    run_protocol_batch,
-    run_protocol_reference,
-)
-from repro.llc.rangesync import ENV_PROTOCOL_ENGINE, resolve_engine
+from repro.llc import ProtocolParams, run_protocol, run_protocol_reference
 from repro.llc.rangesync_batch import run_batch
 from repro.trace.tracer import Tracer
 
@@ -114,51 +108,20 @@ def test_traced_batch_matches_sequential_reference(raws):
 
 
 # ----------------------------------------------------------------------
-# Engine dispatch
+# Entry points
 # ----------------------------------------------------------------------
-def test_resolve_engine_aliases():
-    assert resolve_engine("batched") == "batched"
-    assert resolve_engine("soa") == "batched"
-    assert resolve_engine(" SoA ") == "batched"
-    assert resolve_engine("ref") == "reference"
-    assert resolve_engine("reference") == "reference"
-    assert resolve_engine("scalar") == "reference"
-
-
-def test_resolve_engine_defaults_to_batched(monkeypatch):
-    monkeypatch.delenv(ENV_PROTOCOL_ENGINE, raising=False)
-    assert resolve_engine() == "batched"
-    monkeypatch.setenv(ENV_PROTOCOL_ENGINE, "")
-    assert resolve_engine() == "batched"
-
-
-def test_resolve_engine_reads_env(monkeypatch):
-    monkeypatch.setenv(ENV_PROTOCOL_ENGINE, "ref")
-    assert resolve_engine() == "reference"
-    # An explicit argument wins over the env var.
-    assert resolve_engine("batched") == "batched"
-
-
-def test_resolve_engine_rejects_unknown():
-    with pytest.raises(ValueError, match="batched.*reference|ref"):
-        resolve_engine("vectorised")
-
-
-def test_run_protocol_dispatches_per_engine():
+def test_run_protocol_matches_reference():
+    """The single-episode entry point runs the batched engine."""
     params = ProtocolParams()
-    ref = run_protocol(params, engine="reference")
-    got = run_protocol(params, engine="batched")
-    assert_results_identical(ref, got)
+    assert_results_identical(run_protocol_reference(params),
+                             run_protocol(params))
 
 
-def test_run_protocol_batch_reference_engine_loops():
-    batch = [ProtocolParams(n_chunks=n) for n in (1, 3, 5)]
-    refs = run_protocol_batch(batch, engine="reference")
-    gots = run_protocol_batch(batch, engine="batched")
-    for ref, got in zip(refs, gots):
-        assert_results_identical(ref, got)
-
-
-def test_run_protocol_batch_rejects_label_mismatch():
-    with pytest.raises(ValueError, match="labels"):
-        run_protocol_batch([ProtocolParams()], labels=["a", "b"])
+def test_run_batch_rejects_label_mismatch():
+    """Both paths refuse a label list of the wrong length instead of
+    letting ``zip`` truncate the traced batch."""
+    batch = [ProtocolParams(), ProtocolParams()]
+    for tracer in (None, Tracer()):
+        for labels in (["a"], ["a", "b", "c"]):
+            with pytest.raises(ValueError, match="labels"):
+                run_batch(batch, tracer=tracer, labels=labels)
