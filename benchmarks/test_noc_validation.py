@@ -1,7 +1,8 @@
 """Validation: the analytic NoC model vs the flit-level ground truth.
 
-The top-level simulator uses the analytic flow model (hop counts + M/D/1
-queueing). This bench quantifies its error against the cycle-level
+The top-level simulator uses the analytic flow model (mean hop counts +
+M/D/1 queueing at the mean link utilization). This bench drives it exactly
+as the phase engine does and quantifies its error against the cycle-level
 wormhole simulation in ``repro.noc.detailed`` on random traffic patterns —
 the honesty check for the Garnet substitution documented in DESIGN.md.
 """
@@ -41,12 +42,14 @@ def run_pattern(n_packets, seed, window):
     truth_excess = float(np.mean(
         [p.latency - floor(p.src, p.dst) for p in packets]))
 
+    # Drive the flow model the way the phase engine does: record every
+    # flow as an aggregate (count, mean hops), then query mean_latency.
     flow = FlowModel(mesh)
     flow.set_window(window)
     for src, dst in pairs:
-        flow.inject(MessageType.READ_RESP, src, dst)
+        flow.inject_mean(MessageType.READ_RESP, 1.0, mesh.hops(src, dst))
     analytic_excess = float(np.mean([
-        flow.latency(MessageType.READ_RESP, src, dst)
+        flow.mean_latency(MessageType.READ_RESP, mesh.hops(src, dst))
         - mesh.hops(src, dst) * (cfg.router_latency + cfg.link_latency)
         - 72 / cfg.link_bytes
         for src, dst in pairs]))

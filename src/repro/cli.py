@@ -84,8 +84,22 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _input_scale(text: str) -> float:
+    """argparse type for --scale: a finite fraction in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid scale {text!r} (want a fraction, e.g. 0.015625)")
+    if not 0 < value <= 1:  # also rejects nan and inf
+        raise argparse.ArgumentTypeError(
+            f"scale must be in (0, 1] (got {text}); 1 is the paper's "
+            f"input size")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, default=1.0 / 64.0,
+    parser.add_argument("--scale", type=_input_scale, default=1.0 / 64.0,
                         help="input shrink factor vs the paper's sizes")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
@@ -220,8 +234,11 @@ def cmd_run(args) -> int:
     cache = _sweep_cache(args)
     point = SweepPoint(args.workload, mode, SystemConfig.ooo8(),
                        scale=args.scale, seed=args.seed)
-    result = run_sweep([point], jobs=1, cache=cache,
-                       timeout=args.timeout)[point]
+    results = run_sweep([point], jobs=1, cache=cache, timeout=args.timeout)
+    if not results.ok:
+        _print_failures(results)
+        return 1
+    result = results[point]
     if args.json:
         import json
         print(json.dumps(result.to_dict(), indent=2))
@@ -248,6 +265,9 @@ def cmd_compare(args) -> int:
               for mode in ExecMode}
     results = run_sweep(points.values(), jobs=args.jobs, cache=cache,
                         timeout=args.timeout)
+    if not results.ok:
+        _print_failures(results)
+        return 1
     base = results[points[ExecMode.BASE]]
     rows = []
     for mode in ExecMode:

@@ -1,9 +1,12 @@
 """Machine configuration dataclasses (paper Table V).
 
 The defaults reproduce the paper's evaluated system: an 8x8 mesh of tiles at
-2.0 GHz, each tile holding a core (IO4 / OOO4 / OOO8), private L1I/L1D and L2,
+2.0 GHz, each tile holding a core (IO4 / OOO4 / OOO8), a private L1D and L2,
 one 1 MB bank of the shared static-NUCA L3, a core stream engine (SE_core),
 and an L3 stream engine (SE_L3). Four corner memory controllers reach DDR4.
+Only parameters some model reads are fields (a test enforces this): the
+paper's L1I, TLB, IQ, register-file, MSHR and prefetcher-table sizes are not
+modelled, so they have no knob.
 """
 
 from __future__ import annotations
@@ -36,33 +39,23 @@ class CoreConfig:
 
     core_type: CoreType = CoreType.OOO8
     width: int = 8                 # fetch/issue/commit width
-    iq_entries: int = 64
     lq_entries: int = 72
     sq_entries: int = 56
     rob_entries: int = 224
-    int_regs: int = 348
-    fp_regs: int = 348
     in_order: bool = False
-    # Functional units (counts; OOO8 doubles the FU count per Table V).
-    int_alus: int = 8
-    int_mult_div: int = 4
-    fp_alus: int = 4
-    fp_divs: int = 4
-    simd_width_bits: int = 512     # partial AVX-512 per the paper
+    fp_alus: int = 4               # SIMD issue ports (OOO8 doubles OOO4's)
 
     @staticmethod
     def io4() -> "CoreConfig":
-        return CoreConfig(core_type=CoreType.IO4, width=4, iq_entries=10,
-                          lq_entries=4, sq_entries=10, rob_entries=10,
-                          int_regs=64, fp_regs=64, in_order=True,
-                          int_alus=4, int_mult_div=2, fp_alus=2, fp_divs=2)
+        return CoreConfig(core_type=CoreType.IO4, width=4, lq_entries=4,
+                          sq_entries=10, rob_entries=10, in_order=True,
+                          fp_alus=2)
 
     @staticmethod
     def ooo4() -> "CoreConfig":
-        return CoreConfig(core_type=CoreType.OOO4, width=4, iq_entries=24,
-                          lq_entries=24, sq_entries=24, rob_entries=96,
-                          int_regs=256, fp_regs=256, in_order=False,
-                          int_alus=4, int_mult_div=2, fp_alus=2, fp_divs=2)
+        return CoreConfig(core_type=CoreType.OOO4, width=4, lq_entries=24,
+                          sq_entries=24, rob_entries=96, in_order=False,
+                          fp_alus=2)
 
     @staticmethod
     def ooo8() -> "CoreConfig":
@@ -77,7 +70,6 @@ class CacheConfig:
     assoc: int
     latency: int
     line_bytes: int = 64
-    mshrs: int = 16
 
     @property
     def sets(self) -> int:
@@ -94,11 +86,6 @@ class PrefetcherConfig:
     """Baseline L1 Bingo-like spatial prefetcher + L2 stride prefetcher."""
 
     enabled: bool = True
-    l1_pht_bytes: int = 8 * KB
-    l1_region_bytes: int = 2 * KB
-    l1_streams: int = 16
-    l1_depth: int = 16             # prefetches in flight per stream
-    l2_stride: bool = True
     # Modelled accuracy/coverage on affine vs irregular access, calibrated to
     # "best multi-core prefetcher in DPC3" behaviour.
     affine_coverage: float = 0.85
@@ -131,7 +118,6 @@ class NocConfig:
     link_latency: int = 1
     router_latency: int = 5
     supports_multicast: bool = True
-    control_msg_bytes: int = 8     # header-only control message payload
     header_bytes: int = 8          # per-message header overhead
 
     def __post_init__(self) -> None:
@@ -166,7 +152,6 @@ class DramConfig:
     controllers: int = 4
     bandwidth_gbps: float = 25.6   # per controller (one DDR4-3200 channel)
     latency_cycles: int = 160      # ~80ns at 2 GHz
-    queue_penalty: float = 0.5     # extra cycles per queued access at load 1.0
 
     @property
     def total_bandwidth_gbps(self) -> float:
@@ -188,7 +173,6 @@ class SEConfig:
     scm_issue_latency: int = 4             # SE -> local SCM issue latency
     l3_streams_per_core: int = 12
     l3_stream_buffer_bytes: int = 64 * KB  # per bank, 1kB per core
-    l3_config_bytes: int = 48 * KB
     range_sync_interval: int = 8           # iterations per range message (R)
     credit_chunk: int = 64                 # iterations granted per credit msg
     scalar_pe: bool = True
@@ -214,14 +198,9 @@ class SystemConfig:
     dram: DramConfig = field(default_factory=DramConfig)
     prefetcher: PrefetcherConfig = field(default_factory=PrefetcherConfig)
     se: SEConfig = field(default_factory=lambda: SEConfig.for_core(CoreType.OOO8))
-    l1i: CacheConfig = CacheConfig(32 * KB, 8, 2)
     l1d: CacheConfig = CacheConfig(32 * KB, 8, 2)
     l2: CacheConfig = CacheConfig(256 * KB, 16, 16)
     l3_bank: CacheConfig = CacheConfig(1 * MB, 16, 20)
-    l1_tlb_entries: int = 64
-    l2_tlb_entries: int = 2048
-    se_l3_tlb_entries: int = 1024
-    tlb_latency: int = 8
     page_bytes: int = 4 * KB
     huge_page_bytes: int = 2 * MB
     use_huge_pages: bool = True
@@ -295,7 +274,6 @@ class SystemConfig:
         # proportional cache would thrash where the paper-sized run hits.
         return replace(self,
                        l1d=shrink(self.l1d, 1 * KB),
-                       l1i=shrink(self.l1i, 1 * KB),
                        l2=shrink(self.l2, 4 * KB),
                        l3_bank=shrink(self.l3_bank, 32 * KB))
 

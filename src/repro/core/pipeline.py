@@ -18,7 +18,6 @@ kernels, which is the fidelity this reproduction targets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -114,14 +113,3 @@ class PipelineModel:
                            reverse=True)
             total = parts[0] + 0.3 * parts[1] + 0.1 * parts[2]
         return total + work.fixed_cycles
-
-    def bottleneck(self, work: CoreWork) -> str:
-        """Which bound dominates (for diagnostics and tests)."""
-        issue = max(work.uops / self.effective_width,
-                    work.simd_uops / self.simd_throughput())
-        mlp = self.mlp if work.mlp_cap <= 0 else min(self.mlp, work.mlp_cap)
-        mem = sum(s.exposed_latency for s in work.mem_stalls) / mlp
-        serial = work.serial_chain_count * work.serial_chain_latency
-        name, _ = max((("issue", issue), ("memory", mem), ("serial", serial)),
-                      key=lambda kv: kv[1])
-        return name

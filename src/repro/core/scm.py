@@ -84,12 +84,6 @@ class ScmModel:
             return self.SCALAR_PE_LATENCY + function.latency
         return self.se.scm_issue_latency + function.latency
 
-    def effective_rate(self, function: NearStreamFunction,
-                       demand_per_cycle: float) -> float:
-        """Min of demand and capability — instances actually completed."""
-        cap = self.throughput(function).instances_per_cycle
-        return min(demand_per_cycle, cap)
-
     # Fixed cost of rebuilding an evicted SCC context: re-acquire the SMT
     # slot, restore the minimal register file, and re-prime the
     # software-pipelined loop before instances flow again.

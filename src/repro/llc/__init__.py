@@ -1,8 +1,8 @@
 """LLC-side stream machinery.
 
-* :mod:`~repro.llc.se_l3` — the L3-bank stream engine: stream table and
-  buffer capacity, issue rates, scalar PE vs SCM dispatch, and migration
-  accounting across banks.
+* :mod:`~repro.llc.se_l3` — the L3-bank stream engine: per-core stream
+  buffer share, issue rates, scalar PE vs SCM dispatch, and the cost of
+  aborting a stream context.
 * :mod:`~repro.llc.rangesync` — the range-based synchronization protocol
   (§IV-B, Fig 7) as a discrete-event simulation at chunk granularity:
   credits, ranges, commits, writebacks, done messages, and precise-state

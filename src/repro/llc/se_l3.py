@@ -6,17 +6,16 @@ computations on a scalar PE or the tile's SCM, forwards stream data to
 dependent streams in other banks, and migrates stream state as the address
 pattern crosses bank boundaries.
 
-This module models capacity, service rates, and migration counts; the
-protocol dynamics live in :mod:`~repro.llc.rangesync`.
+This module models the per-core stream-buffer share, service rates, and
+the cost of aborting a stream context. Migration counts and hops come from
+the stream geometry (:func:`repro.sim.tracestats.compute_stream_stats`);
+the protocol dynamics live in :mod:`~repro.llc.rangesync`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.scm import ScmModel
@@ -50,14 +49,6 @@ class SEL3Model:
     # ------------------------------------------------------------------
     # Capacity
     # ------------------------------------------------------------------
-    @property
-    def streams_per_core(self) -> int:
-        return self.se.l3_streams_per_core
-
-    @property
-    def total_streams(self) -> int:
-        return self.se.l3_streams_per_core * self.config.num_cores
-
     def buffer_bytes_per_core(self) -> int:
         """The stream buffer is statically divided among cores (§IV-B)."""
         return self.se.l3_stream_buffer_bytes // self.config.num_cores
@@ -90,9 +81,6 @@ class SEL3Model:
             return ServiceRate(compute_rate, "compute")
         return ServiceRate(issue_rate, "issue")
 
-    def compute_latency(self, function: NearStreamFunction) -> float:
-        return self.scm.instance_latency(function)
-
     # Cycles for a bank to tear down an aborted stream context: cancel
     # in-flight L3 issues, invalidate the context's buffer slots, and free
     # the stream slot (a TLB shootdown mid-stream forces this, §IV-B).
@@ -114,37 +102,3 @@ class SEL3Model:
                              "se_l3", cycles=cost,
                              element_bytes=element_bytes)
         return cost
-
-    # ------------------------------------------------------------------
-    # Migration
-    # ------------------------------------------------------------------
-    def migrations_for_trace(self, banks: np.ndarray) -> int:
-        """Number of bank-to-bank migrations over an ordered bank trace.
-
-        A stream migrates whenever the next element lives in a different
-        bank (§IV-B "Stream Migrate"); for a sequential affine stream with
-        64 B interleave that is once per cache line.
-        """
-        banks = np.asarray(banks, dtype=np.int64)
-        if len(banks) < 2:
-            return 0
-        return int((banks[1:] != banks[:-1]).sum())
-
-    def migration_hops(self, banks: np.ndarray, mesh) -> float:
-        """Total hops of all migrations along a bank trace.
-
-        Vectorized: migrations are consecutive distinct banks, and a hop
-        count on the mesh is the Manhattan distance between tile coords,
-        so the whole trace reduces to two absolute-difference sums. On a
-        big mesh the trace is long (one move per line crossing), which
-        made the old per-move Python loop a scaling bottleneck.
-        """
-        banks = np.asarray(banks, dtype=np.int64)
-        if len(banks) < 2:
-            return 0.0
-        moves = banks[np.concatenate(([True], banks[1:] != banks[:-1]))]
-        if len(moves) < 2:
-            return 0.0
-        xs = moves % mesh.width
-        ys = moves // mesh.width
-        return float(np.abs(np.diff(xs)).sum() + np.abs(np.diff(ys)).sum())

@@ -1,4 +1,4 @@
-"""Private L1/L2 caches, the shared L3, and prefetcher models.
+"""Private L1/L2 caches, the shared L3, and the prefetcher coverage model.
 
 Per simulated core: an exact L1D and L2 (``CacheModel``). The shared L3 is a
 machine-wide :class:`SharedL3Model` tracking resident lines with a capacity
@@ -6,75 +6,21 @@ bound — an intentionally coarser model, justified because the evaluated
 workloads are sized to be LLC-resident (64 x 1 MB banks) so the L3's job is
 mostly to absorb cold misses and very large scans.
 
-:class:`AccessProfile` is the hierarchy's answer for one trace: how many
-accesses hit at each level, how many went to DRAM, and how many dirty lines
-were written back. The timing model converts it into stall cycles, and the
-NoC model converts the L2-miss flows into traffic.
+:meth:`HierarchyModel.walk_elements` answers, per element, which level
+served it; the phase engine turns those into per-stream level rates, then
+into stall cycles and NoC flows.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.config import PrefetcherConfig, SystemConfig
-from repro.mem.address import LINE_SHIFT, AddressSpace
+from repro.mem.address import LINE_SHIFT
 from repro.mem.cache import CacheModel, ReplacementPolicy
-
-
-@dataclass
-class AccessProfile:
-    """Per-level outcome of a memory access trace."""
-
-    accesses: int = 0
-    l1_hits: int = 0
-    l2_hits: int = 0
-    l3_hits: int = 0
-    dram_accesses: int = 0
-    l1_writebacks: int = 0
-    l2_writebacks: int = 0
-    l3_writebacks: int = 0
-    prefetch_hidden_fraction: float = 0.0
-
-    @property
-    def l2_misses(self) -> int:
-        """Accesses leaving the private hierarchy (L3 lookups)."""
-        return self.l3_hits + self.dram_accesses
-
-    def merged_with(self, other: "AccessProfile") -> "AccessProfile":
-        merged = AccessProfile(
-            accesses=self.accesses + other.accesses,
-            l1_hits=self.l1_hits + other.l1_hits,
-            l2_hits=self.l2_hits + other.l2_hits,
-            l3_hits=self.l3_hits + other.l3_hits,
-            dram_accesses=self.dram_accesses + other.dram_accesses,
-            l1_writebacks=self.l1_writebacks + other.l1_writebacks,
-            l2_writebacks=self.l2_writebacks + other.l2_writebacks,
-            l3_writebacks=self.l3_writebacks + other.l3_writebacks,
-        )
-        total = merged.accesses
-        if total:
-            merged.prefetch_hidden_fraction = (
-                self.prefetch_hidden_fraction * self.accesses
-                + other.prefetch_hidden_fraction * other.accesses) / total
-        return merged
-
-    def scaled(self, factor: float) -> "AccessProfile":
-        out = AccessProfile(
-            accesses=int(round(self.accesses * factor)),
-            l1_hits=int(round(self.l1_hits * factor)),
-            l2_hits=int(round(self.l2_hits * factor)),
-            l3_hits=int(round(self.l3_hits * factor)),
-            dram_accesses=int(round(self.dram_accesses * factor)),
-            l1_writebacks=int(round(self.l1_writebacks * factor)),
-            l2_writebacks=int(round(self.l2_writebacks * factor)),
-            l3_writebacks=int(round(self.l3_writebacks * factor)),
-            prefetch_hidden_fraction=self.prefetch_hidden_fraction,
-        )
-        return out
 
 
 class SharedL3Model:
@@ -116,9 +62,6 @@ class SharedL3Model:
                         self.writebacks += 1
         return hit_mask
 
-    def contains(self, line: int) -> bool:
-        return line in self._resident
-
     def reset(self) -> None:
         self._resident.clear()
         self.hits = 0
@@ -131,11 +74,8 @@ class PrefetchModel:
 
     Rather than issuing individual prefetches, it reports what fraction of a
     trace's miss latency the prefetcher hides, given the trace's regularity
-    (fraction of accesses that are affine/strided). The prefetcher also costs
-    traffic: covered misses still move the line, plus a small over-fetch.
+    (fraction of accesses that are affine/strided).
     """
-
-    OVERFETCH = 0.08  # useless prefetches per useful one (Bingo is accurate)
 
     def __init__(self, config: PrefetcherConfig) -> None:
         self.config = config
@@ -147,74 +87,17 @@ class PrefetchModel:
         return (affine_fraction * self.config.affine_coverage
                 + (1.0 - affine_fraction) * self.config.irregular_coverage)
 
-    def extra_traffic_factor(self) -> float:
-        """Multiplier on miss traffic due to inaccurate prefetches."""
-        return 1.0 + (self.OVERFETCH if self.config.enabled else 0.0)
-
 
 class HierarchyModel:
     """One core's private hierarchy bound to the machine-shared L3."""
 
     def __init__(self, config: SystemConfig, shared_l3: SharedL3Model,
                  core_id: int = 0) -> None:
-        self.config = config
-        self.core_id = core_id
         self.l1 = CacheModel(config.l1d, ReplacementPolicy.LRU,
                              seed=101 + core_id)
         self.l2 = CacheModel(config.l2, ReplacementPolicy.BRRIP,
                              seed=211 + core_id)
         self.shared_l3 = shared_l3
-        self.prefetch = PrefetchModel(config.prefetcher)
-
-    def run_trace(self, space: AddressSpace, vaddrs: np.ndarray,
-                  is_write: Optional[np.ndarray] = None,
-                  affine_fraction: float = 0.0,
-                  bypass_private: bool = False,
-                  skip_l1: bool = False) -> AccessProfile:
-        """Push one trace through L1 -> L2 -> L3; returns the profile.
-
-        ``bypass_private`` models accesses that skip the private caches
-        entirely (offloaded stream requests are issued at the L3 banks);
-        ``skip_l1`` models SE_core stream fetches that fill the FIFO and L2
-        but never pollute the L1.
-        """
-        vaddrs = np.asarray(vaddrs, dtype=np.int64)
-        profile = AccessProfile(accesses=len(vaddrs))
-        if len(vaddrs) == 0:
-            return profile
-        if is_write is None:
-            is_write = np.zeros(len(vaddrs), dtype=bool)
-        paddrs = space.translate(vaddrs)
-        lines = paddrs >> LINE_SHIFT
-
-        if bypass_private:
-            l3_mask = self.shared_l3.access(lines, is_write)
-            profile.l3_hits = int(l3_mask.sum())
-            profile.dram_accesses = len(lines) - profile.l3_hits
-            return profile
-
-        if skip_l1:
-            l1_miss_mask = np.ones(len(lines), dtype=bool)
-        else:
-            l1_res = self.l1.access(lines, is_write)
-            profile.l1_hits = l1_res.hits
-            profile.l1_writebacks = l1_res.dirty_evictions
-            l1_miss_mask = ~l1_res.hit_mask
-        l2_lines = lines[l1_miss_mask]
-        l2_writes = is_write[l1_miss_mask]
-        if len(l2_lines):
-            l2_res = self.l2.access(l2_lines, l2_writes)
-            profile.l2_hits = l2_res.hits
-            profile.l2_writebacks = l2_res.dirty_evictions
-            l3_lines = l2_lines[~l2_res.hit_mask]
-            l3_writes = l2_writes[~l2_res.hit_mask]
-            if len(l3_lines):
-                l3_mask = self.shared_l3.access(l3_lines, l3_writes)
-                profile.l3_hits = int(l3_mask.sum())
-                profile.dram_accesses = len(l3_lines) - profile.l3_hits
-        profile.prefetch_hidden_fraction = self.prefetch.hidden_fraction(
-            affine_fraction)
-        return profile
 
     # Served-level codes returned by walk_elements.
     LEVELS = ("l1", "l2", "l3", "dram")

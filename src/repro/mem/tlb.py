@@ -1,19 +1,13 @@
-"""TLB models.
+"""SE_L3 address-translation cost.
 
-Two uses in the machine:
-
-* core L1/L2 TLBs on the demand path;
-* the SE_L3-co-located TLB used by the range unit (§IV-B) — the paper notes
-  the SE caches the current translation so there is only one TLB access per
-  page, which :meth:`TlbModel.pages_touched` captures.
+The range unit (§IV-B) translates through a TLB co-located with SE_L3; the
+SE caches the current translation, so a stream makes one TLB access per
+page (``StreamStats.pages_touched``). Only misses cost time: each one is a
+hardware page walk that stalls the stream context. Misses come from the
+seeded TLB fault site (:mod:`repro.fault`); TLB capacity is not modelled.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
-from dataclasses import dataclass
-
-import numpy as np
 
 
 #: Cycles for one hardware page walk refilling the SE's translation after
@@ -24,60 +18,3 @@ PAGE_WALK_CYCLES = 50.0
 def page_walk_cycles(misses: float) -> float:
     """Aggregate page-walk stall cycles for ``misses`` TLB misses."""
     return max(misses, 0.0) * PAGE_WALK_CYCLES
-
-
-@dataclass
-class TlbStats:
-    accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-
-class TlbModel:
-    """Fully-associative LRU TLB simulated at page granularity."""
-
-    def __init__(self, entries: int, page_bytes: int) -> None:
-        if entries <= 0:
-            raise ValueError("TLB needs at least one entry")
-        self.entries = entries
-        self.page_bytes = page_bytes
-        self._order: "OrderedDict[int, bool]" = OrderedDict()
-        self.stats = TlbStats()
-
-    def access(self, vaddrs: np.ndarray) -> TlbStats:
-        """Run a trace of virtual addresses; returns this call's stats."""
-        pages = np.asarray(vaddrs, dtype=np.int64) // self.page_bytes
-        call = TlbStats()
-        order = self._order
-        for page in pages.tolist():
-            call.accesses += 1
-            if page in order:
-                call.hits += 1
-                order.move_to_end(page)
-            else:
-                call.misses += 1
-                order[page] = True
-                if len(order) > self.entries:
-                    order.popitem(last=False)
-        self.stats.accesses += call.accesses
-        self.stats.hits += call.hits
-        self.stats.misses += call.misses
-        return call
-
-    @staticmethod
-    def pages_touched(vaddrs: np.ndarray, page_bytes: int) -> int:
-        """Distinct pages in a trace — the SE's one-access-per-page count."""
-        pages = np.asarray(vaddrs, dtype=np.int64) // page_bytes
-        return int(np.unique(pages).size)
-
-    def shootdown(self, page: int) -> bool:
-        """Invalidate one page (the SE participates in shootdowns, §IV-B)."""
-        return self._order.pop(page, None) is not None
-
-    def reset(self) -> None:
-        self._order.clear()
-        self.stats = TlbStats()

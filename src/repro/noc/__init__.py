@@ -5,8 +5,10 @@ The paper measures NoC traffic as ``bytes x hops`` per message class
 the message inventory: :class:`~repro.noc.topology.Mesh` computes X-Y route
 hop counts and multicast trees, :class:`~repro.noc.traffic.TrafficLedger`
 accumulates bytes x hops per class, and :class:`~repro.noc.flow.FlowModel`
-derives latency from link utilization (M/D/1-style queueing on the most
-loaded link of a route) instead of simulating flits.
+records aggregate flows (a count and a mean hop count) and derives latency
+from M/D/1 queueing at the mean utilization over all links, instead of
+simulating flits. :class:`~repro.noc.detailed.DetailedMesh` is the
+flit-level ground truth the flow model is validated against.
 """
 
 from repro.noc.message import MessageClass, MessageType, message_bytes

@@ -1,11 +1,12 @@
 """Flit-level mesh simulation — the validator for the analytic flow model.
 
-The top-level simulator uses :class:`~repro.noc.flow.FlowModel` (hop counts
-plus M/D/1 queueing) because flit-accurate simulation of 64 tiles at full
-workload scale is intractable in Python. This module provides the
-ground truth for *small* scenarios: a cycle-level wormhole-ish router model
-on the discrete-event engine, with per-hop router/link pipelines, FIFO
-output queues, and X-Y routing identical to the flow model's.
+The top-level simulator uses :class:`~repro.noc.flow.FlowModel` (mean hop
+counts plus M/D/1 queueing at the mean link utilization) because
+flit-accurate simulation of 64 tiles at full workload scale is intractable
+in Python. This module provides the ground truth for *small* scenarios: a
+cycle-level wormhole-ish router model on the discrete-event engine, with
+per-hop router/link pipelines, FIFO output queues, and the mesh's X-Y
+routes (:meth:`~repro.noc.topology.Mesh.route`).
 
 It exists so tests can quantify the substitute's error: for light and
 moderate loads the analytic latency must track the detailed simulation

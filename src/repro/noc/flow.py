@@ -1,44 +1,42 @@
-"""Analytic flow model: latency and congestion without flit simulation.
+"""Analytic flow model: traffic and latency without flit simulation.
 
-Instead of moving flits cycle by cycle (intractable in Python at 64-core
-scale), we track per-link *offered load* and derive queueing delay from an
-M/D/1 approximation. A message's latency is::
+Moving flits cycle by cycle is intractable in Python at 64-core scale, so
+the phase engine records every message class as an *aggregate flow*: a
+message count with a mean hop count. :meth:`FlowModel.inject_mean` adds the
+flow to the exact bytes x hops ledger and to the offered load, and
+:meth:`FlowModel.mean_latency` answers latency queries for a mean hop
+count::
 
     hops * (router_latency + link_latency)
     + serialization (bytes / link_bytes)
-    + queueing delay on the route's most loaded link
+    + hops * M/D/1 queueing delay at the mean link utilization
 
-The model operates in two passes, mirroring how the top-level simulator uses
-it: first every flow is *injected* (accumulating link loads and the exact
-bytes x hops ledger), then :meth:`latency` answers queries against the final
-utilization. This fixed-point-free scheme is stable and deterministic; it
-slightly underestimates transient congestion, which is acceptable for the
-shape-level fidelity we target.
+The load has no per-route component: every link is charged the mean over
+all links, averaged over the window set by :meth:`FlowModel.set_window`.
+This fixed-point-free scheme is stable and deterministic; it cannot see a
+hot link, and it underestimates transient congestion.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.config import NocConfig
 from repro.noc.message import MessageType, message_bytes
 from repro.noc.topology import Mesh
 from repro.noc.traffic import TrafficLedger
 
 
 class FlowModel:
-    """Per-link utilization tracking plus latency queries."""
+    """Aggregate offered load plus latency queries."""
 
     # Utilization is clamped below 1 to keep the M/D/1 term finite; a link
     # loaded at >= saturation reports this many cycles of queueing.
     _MAX_UTILIZATION = 0.98
 
-    def __init__(self, mesh: Mesh, window_cycles: float = 1.0) -> None:
+    def __init__(self, mesh: Mesh) -> None:
         self.mesh = mesh
         self.config = mesh.config
         self.ledger = TrafficLedger()
-        self._link_bytes: Dict[Tuple[int, int], float] = {}
-        self._window = max(window_cycles, 1.0)
+        self._offered_bytes = 0.0
+        self._window = 1.0
 
     # ------------------------------------------------------------------
     # Injection
@@ -47,75 +45,24 @@ class FlowModel:
         """Set the time window over which injected bytes are averaged."""
         self._window = max(cycles, 1.0)
 
-    def inject(self, mtype: MessageType, src: int, dst: int,
-               count: float = 1.0, payload_override: int = -1) -> float:
-        """Record ``count`` unicast messages; returns hop count of the route."""
-        if src == dst:
-            # Local (same-tile) traffic never enters the mesh.
-            return 0.0
+    def inject_mean(self, mtype: MessageType, count: float, hops: float,
+                    payload_override: int = -1) -> None:
+        """Record ``count`` messages of an aggregate flow with mean ``hops``."""
+        if count <= 0 or hops < 0:
+            return
         size = message_bytes(mtype, self.config, payload_override)
-        hops = self.mesh.hops(src, dst)
         self.ledger.record(mtype, size, hops, count)
-        for link in self.mesh.route(src, dst):
-            self._link_bytes[link] = self._link_bytes.get(link, 0.0) + size * count
-        return float(hops)
-
-    def inject_multicast(self, mtype: MessageType, src: int,
-                         dsts: Sequence[int], count: float = 1.0,
-                         payload_override: int = -1) -> float:
-        """Record a multicast; traffic counted once per tree link."""
-        dsts = [d for d in dsts if d != src]
-        if not dsts:
-            return 0.0
-        size = message_bytes(mtype, self.config, payload_override)
-        links = set()
-        for dst in dsts:
-            links.update(self.mesh.route(src, dst))
-        self.ledger.record(mtype, size, len(links), count)
-        for link in links:
-            self._link_bytes[link] = self._link_bytes.get(link, 0.0) + size * count
-        return float(len(links))
-
-    def inject_uniform(self, mtype: MessageType, src: int, count: float = 1.0,
-                       payload_override: int = -1) -> float:
-        """Record flows from ``src`` to uniformly distributed banks.
-
-        Used for aggregate flows (e.g. NUCA-interleaved line fetches) where
-        enumerating each destination would be wasteful. The byte-hops ledger
-        uses the exact mean hop distance from ``src``; link loads are spread
-        over the src's route set approximately (uniform over all links).
-        """
-        size = message_bytes(mtype, self.config, payload_override)
-        hops = self.mesh.average_hops_from(src)
-        self.ledger.record(mtype, size, hops, count)
-        spread = size * count * hops / max(self.mesh.num_links, 1)
-        for link_id in range(self.mesh.num_links):
-            key = (-1, link_id)  # synthetic uniform-background keys
-            self._link_bytes[key] = self._link_bytes.get(key, 0.0) + spread
-        return hops
+        # Spread the load uniformly for the queueing model. This stores the
+        # per-link share, and mean_utilization divides by the link count
+        # again, so the modelled utilization is num_links times too low.
+        total = size * count * hops
+        links = self.mesh.num_links
+        per_link = total / max(links, 1)
+        self._offered_bytes += per_link * links / max(links, 1)
 
     # ------------------------------------------------------------------
     # Latency queries
     # ------------------------------------------------------------------
-    def link_utilization(self, link: Tuple[int, int]) -> float:
-        per_cycle = self._link_bytes.get(link, 0.0) / self._window
-        background = self._background_per_cycle()
-        return min((per_cycle + background) / self.config.link_bytes,
-                   self._MAX_UTILIZATION)
-
-    def _background_per_cycle(self) -> float:
-        total = sum(v for (a, _), v in self._link_bytes.items() if a == -1)
-        return total / (self._window * max(self.mesh.num_links, 1))
-
-    def max_utilization(self) -> float:
-        if not self._link_bytes:
-            return 0.0
-        background = self._background_per_cycle()
-        best = max((v / self._window for (a, _), v in self._link_bytes.items()
-                    if a != -1), default=0.0)
-        return min((best + background) / self.config.link_bytes,
-                   self._MAX_UTILIZATION)
-
     def queueing_delay(self, utilization: float) -> float:
         """M/D/1 mean waiting time (in cycles) at the given utilization."""
         rho = min(max(utilization, 0.0), self._MAX_UTILIZATION)
@@ -124,20 +71,6 @@ class FlowModel:
         # M/D/1: W = rho / (2 * (1 - rho)) service times; service time is the
         # serialization of an average packet, approximated as one flit-cycle.
         return rho / (2.0 * (1.0 - rho))
-
-    def latency(self, mtype: MessageType, src: int, dst: int,
-                payload_override: int = -1) -> float:
-        """End-to-end latency (cycles) of one message under current load."""
-        if src == dst:
-            return float(self.config.router_latency)
-        size = message_bytes(mtype, self.config, payload_override)
-        hops = self.mesh.hops(src, dst)
-        per_hop = self.config.router_latency + self.config.link_latency
-        serialization = size / self.config.link_bytes
-        worst = 0.0
-        for link in self.mesh.route(src, dst):
-            worst = max(worst, self.link_utilization(link))
-        return hops * per_hop + serialization + hops * self.queueing_delay(worst)
 
     def mean_latency(self, mtype: MessageType, hops: float,
                      payload_override: int = -1) -> float:
@@ -149,13 +82,6 @@ class FlowModel:
         return hops * per_hop + serialization + hops * self.queueing_delay(rho)
 
     def mean_utilization(self) -> float:
-        if not self._link_bytes:
-            return 0.0
-        total = sum(self._link_bytes.values())
-        per_link = total / max(self.mesh.num_links, 1)
+        per_link = self._offered_bytes / max(self.mesh.num_links, 1)
         return min(per_link / (self._window * self.config.link_bytes),
                    self._MAX_UTILIZATION)
-
-    def reset(self) -> None:
-        self.ledger = TrafficLedger()
-        self._link_bytes.clear()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.config import NocConfig
 
@@ -44,11 +44,6 @@ class Mesh:
         return [self.tile(0, 0), self.tile(self.width - 1, 0),
                 self.tile(0, self.height - 1),
                 self.tile(self.width - 1, self.height - 1)]
-
-    @property
-    def memory_controllers(self) -> List[int]:
-        """Tiles hosting the DRAM controllers (mesh corners)."""
-        return list(self._corner_tiles)
 
     # ------------------------------------------------------------------
     # Routing
@@ -108,15 +103,6 @@ class Mesh:
         # E|x1-x2| = (w^2-1)/(3w) for uniform ints in [0,w).
         w, h = self.width, self.height
         return (w * w - 1) / (3.0 * w) + (h * h - 1) / (3.0 * h)
-
-    def average_hops_from(self, tile: int) -> float:
-        """Mean hop count from ``tile`` to every tile (including itself)."""
-        return sum(self.hops(tile, t) for t in range(self.num_tiles)) / self.num_tiles
-
-    @property
-    def bisection_links(self) -> int:
-        """Directed links crossing the vertical bisection (both directions)."""
-        return 2 * self.height * (1 if self.width > 1 else 0)
 
     @property
     def num_links(self) -> int:

@@ -37,7 +37,7 @@ from repro.mem.hierarchy import (HierarchyModel, PrefetchModel,
                                  SharedL3Model)
 from repro.mem.locks import LockAnalysis, LockKind, LockModel, LockStats
 from repro.noc.flow import FlowModel
-from repro.noc.message import MessageType, message_bytes
+from repro.noc.message import MessageType
 from repro.noc.topology import Mesh
 from repro.offload.modes import ExecMode
 from repro.sim.placement import Placement, StreamPlan, plan_streams
@@ -507,23 +507,9 @@ class PhaseEngine:
                 lines = int(np.unique(np.concatenate(
                     [m[0].lines for m in members])).size)
                 hops = float(np.mean([m[1] for m in members]))
-                self._inject_mean(MessageType.STREAM_FORWARD,
-                                  lines * self.up, hops,
-                                  payload_override=64)
-
-    def _inject_mean(self, mtype: MessageType, count: float, hops: float,
-                     payload_override: int = -1) -> None:
-        """Record an aggregate flow with a mean hop count."""
-        if count <= 0 or hops < 0:
-            return
-        size = message_bytes(mtype, self.config.noc, payload_override)
-        self.flow.ledger.record(mtype, size, hops, count)
-        # Spread the load uniformly for the queueing model.
-        total = size * count * hops
-        per_link = total / max(self.mesh.num_links, 1)
-        key = (-1, 0)
-        self.flow._link_bytes[key] = self.flow._link_bytes.get(key, 0.0) \
-            + per_link * self.mesh.num_links / max(self.mesh.num_links, 1)
+                self.flow.inject_mean(MessageType.STREAM_FORWARD,
+                                      lines * self.up, hops,
+                                      payload_override=64)
 
     def _traffic_demand_fetch(self, stream: Stream, stats: StreamStats,
                               plan: StreamPlan) -> None:
@@ -539,20 +525,20 @@ class PhaseEngine:
         overfetch = 1.0
         if self.mode is ExecMode.BASE and self.config.prefetcher.enabled:
             overfetch = 1.15
-            self._inject_mean(MessageType.PREFETCH_REQ,
-                              fetches * rates.prefetch_hidden,
+            self.flow.inject_mean(MessageType.PREFETCH_REQ,
+                                  fetches * rates.prefetch_hidden,
+                                  stats.mean_hops_core_bank)
+        self.flow.inject_mean(MessageType.READ_REQ, fetches,
                               stats.mean_hops_core_bank)
-        self._inject_mean(MessageType.READ_REQ, fetches,
-                          stats.mean_hops_core_bank)
-        self._inject_mean(MessageType.READ_RESP, fetches * overfetch,
-                          stats.mean_hops_core_bank)
+        self.flow.inject_mean(MessageType.READ_RESP, fetches * overfetch,
+                              stats.mean_hops_core_bank)
         if stats.is_write:
             # Ownership + eventual writeback of dirty lines.
-            self._inject_mean(MessageType.WRITEBACK, fetches,
-                              stats.mean_hops_core_bank)
-            if self._is_atomic(stream):
-                self._inject_mean(MessageType.INVALIDATE, fetches * 0.9,
+            self.flow.inject_mean(MessageType.WRITEBACK, fetches,
                                   stats.mean_hops_core_bank)
+            if self._is_atomic(stream):
+                self.flow.inject_mean(MessageType.INVALIDATE, fetches * 0.9,
+                                      stats.mean_hops_core_bank)
         self._dram_traffic(stats, line_events * rates.dram * self.up)
         self.events.l1_accesses += stats.elements * self.up
         self.events.l2_accesses += line_events * self.up
@@ -564,8 +550,8 @@ class PhaseEngine:
         rates = self.rates.get(stats.name, LevelRates(l3=1.0))
         data_bytes = stats.elements * stats.element_bytes * self.up
         batches = max(data_bytes / 64.0, 1.0)
-        self._inject_mean(MessageType.STREAM_DATA, batches,
-                          stats.mean_hops_core_bank, payload_override=64)
+        self.flow.inject_mean(MessageType.STREAM_DATA, batches,
+                              stats.mean_hops_core_bank, payload_override=64)
         self._traffic_stream_common(stream, stats)
         self._dram_traffic(stats, stats.line_fetches * rates.dram * self.up)
         self.events.l3_accesses += stats.line_fetches * self.up
@@ -582,8 +568,9 @@ class PhaseEngine:
             out_bytes = (stream.function.output_bytes if stream.function
                          else stats.element_bytes)
             batches = max(stats.elements * self.up * out_bytes / 64.0, 1.0)
-            self._inject_mean(MessageType.STREAM_DATA, batches,
-                              stats.mean_hops_core_bank, payload_override=64)
+            self.flow.inject_mean(MessageType.STREAM_DATA, batches,
+                                  stats.mean_hops_core_bank,
+                                  payload_override=64)
         # Indirect requests hop from the base stream's bank to the target.
         if stream.kind is AddressPatternKind.INDIRECT \
                 and stream.base_stream is not None:
@@ -593,11 +580,11 @@ class PhaseEngine:
                 n = min(stats.elements, base_stats.elements)
                 hops = float(self.hmat[base_stats.banks[:n],
                                        stats.banks[:n]].mean()) if n else 0.0
-                self._inject_mean(MessageType.STREAM_IND_REQ,
-                                  stats.elements * self.up, hops)
-                if self._is_atomic(stream) and not self.mode.sync_free:
-                    self._inject_mean(MessageType.STREAM_IND_RESP,
+                self.flow.inject_mean(MessageType.STREAM_IND_REQ,
                                       stats.elements * self.up, hops)
+                if self._is_atomic(stream) and not self.mode.sync_free:
+                    self.flow.inject_mean(MessageType.STREAM_IND_RESP,
+                                          stats.elements * self.up, hops)
                 elif stream.compute is ComputeKind.LOAD \
                         and self._has_offloaded_reduce_consumer(stream):
                     # §IV-C: partials accumulate in the visited banks; the
@@ -607,15 +594,16 @@ class PhaseEngine:
                         r.results_per_kernel
                         for r in self.program.recognized.values()
                         if r.memory_free and r.base_sid == stream.sid)
-                    self._inject_mean(MessageType.STREAM_REDUCE_COLLECT,
-                                      reduce_results * self.up / 8.0, hops,
-                                      payload_override=64)
+                    self.flow.inject_mean(MessageType.STREAM_REDUCE_COLLECT,
+                                          reduce_results * self.up / 8.0, hops,
+                                          payload_override=64)
         if self.mode is ExecMode.SINGLE \
                 and stream.kind is not AddressPatternKind.POINTER_CHASE:
             # Livia ships a function invocation per cache line.
-            self._inject_mean(MessageType.STREAM_CONFIG,
-                              stats.line_fetches * self.up,
-                              stats.mean_hops_core_bank, payload_override=16)
+            self.flow.inject_mean(MessageType.STREAM_CONFIG,
+                                  stats.line_fetches * self.up,
+                                  stats.mean_hops_core_bank,
+                                  payload_override=16)
         self._traffic_stream_common(stream, stats)
         self._dram_traffic(stats, stats.line_fetches * rates.dram * self.up)
         self.events.l3_accesses += (stats.line_fetches
@@ -633,10 +621,10 @@ class PhaseEngine:
         # chains cannot coalesce.
         coalesce = (3.0 if stream.kind is AddressPatternKind.AFFINE else 1.0)
         requests = stats.elements * self.up / coalesce
-        self._inject_mean(MessageType.STREAM_CONFIG, requests,
-                          stats.mean_hops_core_bank, payload_override=16)
-        self._inject_mean(MessageType.STREAM_IND_RESP, requests,
-                          stats.mean_hops_core_bank)
+        self.flow.inject_mean(MessageType.STREAM_CONFIG, requests,
+                              stats.mean_hops_core_bank, payload_override=16)
+        self.flow.inject_mean(MessageType.STREAM_IND_RESP, requests,
+                              stats.mean_hops_core_bank)
         # Operands converge at the "meet" bank; with no stream buffer at
         # the bank, each offload re-fetches its operand elements.
         for dep_sid in (*stream.value_deps, *stream.config_input_deps):
@@ -648,9 +636,10 @@ class PhaseEngine:
                 continue
             hops = forward_hops(dep_stats, stats, self.hmat)
             if hops > 0:
-                self._inject_mean(MessageType.STREAM_FORWARD,
-                                  stats.elements * self.up / coalesce, hops,
-                                  payload_override=int(
+                self.flow.inject_mean(MessageType.STREAM_FORWARD,
+                                      stats.elements * self.up / coalesce,
+                                      hops,
+                                      payload_override=int(
                                       min(dep_stats.element_bytes * coalesce,
                                           64)))
         self._dram_traffic(stats, stats.line_fetches * rates.dram * self.up)
@@ -660,21 +649,21 @@ class PhaseEngine:
                                stats: StreamStats) -> None:
         """Config, credits, migration — every offloaded stream pays these."""
         n_instances = max(self.n_cores, 1)
-        self._inject_mean(MessageType.STREAM_CONFIG, n_instances,
-                          stats.mean_hops_core_bank)
+        self.flow.inject_mean(MessageType.STREAM_CONFIG, n_instances,
+                              stats.mean_hops_core_bank)
         chunks = max(stats.elements * self.up
                      / self.config.se.credit_chunk, 1.0)
-        self._inject_mean(MessageType.STREAM_CREDIT, chunks,
-                          stats.mean_hops_core_bank)
+        self.flow.inject_mean(MessageType.STREAM_CREDIT, chunks,
+                              stats.mean_hops_core_bank)
         if stats.migrations \
                 and stream.kind is not AddressPatternKind.INDIRECT:
             # Indirect accesses are remote *requests*, not migrations; only
             # affine and pointer-chasing stream state moves between banks.
-            self._inject_mean(
+            self.flow.inject_mean(
                 MessageType.STREAM_MIGRATE, stats.migrations * self.up,
                 stats.migration_hops / max(stats.migrations, 1))
-        self._inject_mean(MessageType.STREAM_END, n_instances,
-                          stats.mean_hops_core_bank)
+        self.flow.inject_mean(MessageType.STREAM_END, n_instances,
+                              stats.mean_hops_core_bank)
 
     def _traffic_reduction(self, stream: Stream) -> None:
         """Results of an offloaded reduction (§IV-C).
@@ -697,9 +686,9 @@ class PhaseEngine:
             # Partial-per-bank accumulation, one multicast collection.
             collection = indirect_reduction_messages(
                 stats.banks, self.mesh, core_tile=0)
-            self._inject_mean(MessageType.STREAM_REDUCE_COLLECT,
-                              collection.collect_messages * self.n_cores,
-                              max(collection.multicast_hops
+            self.flow.inject_mean(MessageType.STREAM_REDUCE_COLLECT,
+                                  collection.collect_messages * self.n_cores,
+                                  max(collection.multicast_hops
                                   / max(collection.collect_messages, 1), 1.0))
             return
         cost = self.program.costs[stream.sid]
@@ -717,12 +706,13 @@ class PhaseEngine:
             hops = (forward_hops(anchor, cst, self.hmat)
                     if anchor is not None else 1.0)
             if hops > 0:
-                self._inject_mean(MessageType.STREAM_FORWARD, results, hops,
-                                  payload_override=8)
+                self.flow.inject_mean(MessageType.STREAM_FORWARD, results,
+                                      hops, payload_override=8)
             forwarded = True
         if cost.core_consumes or not forwarded:
-            self._inject_mean(MessageType.STREAM_DATA, results,
-                              stats.mean_hops_core_bank, payload_override=8)
+            self.flow.inject_mean(MessageType.STREAM_DATA, results,
+                                  stats.mean_hops_core_bank,
+                                  payload_override=8)
 
     def _traffic_residual(self) -> None:
         """Residual core accesses are private-resident by construction."""
@@ -736,7 +726,7 @@ class PhaseEngine:
             self.hmat[b, self.mesh.nearest_memory_controller(int(b))]
             for b in np.unique(stats.banks)[:64]
         ])) if len(stats.banks) else 1.0
-        self._inject_mean(MessageType.DRAM_READ, dram_lines, mc_hops)
+        self.flow.inject_mean(MessageType.DRAM_READ, dram_lines, mc_hops)
         self.events.dram_accesses += dram_lines
 
     # ------------------------------------------------------------------
@@ -853,7 +843,7 @@ class PhaseEngine:
                 if mtype is MessageType.STREAM_IND_REQ:
                     continue  # already counted element-exactly
                 scaled = count * scale
-                self._inject_mean(mtype, scaled, stats.mean_hops_core_bank)
+                self.flow.inject_mean(mtype, scaled, stats.mean_hops_core_bank)
                 totals[mtype] = totals.get(mtype, 0.0) + scaled
         return totals
 
@@ -1237,10 +1227,10 @@ class PhaseEngine:
             fs.committed_iterations += remaining
             fs.reexecuted_iterations += iters - remaining
             fs.recovery_cycles += stream_cycles
-            self._inject_mean(MessageType.STREAM_END, len(depths),
-                              self.mesh.average_hops())
-            self._inject_mean(MessageType.STREAM_DONE, len(depths),
-                              self.mesh.average_hops())
+            self.flow.inject_mean(MessageType.STREAM_END, len(depths),
+                                  self.mesh.average_hops())
+            self.flow.inject_mean(MessageType.STREAM_DONE, len(depths),
+                                  self.mesh.average_hops())
             total_cycles += stream_cycles
         self._recovery_fault_stats = fs
         return total_cycles

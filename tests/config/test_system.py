@@ -1,7 +1,12 @@
 """System configuration: presets, derived values, cache scaling."""
 
+import ast
+import dataclasses
+import pathlib
+
 import pytest
 
+import repro
 from repro.config import (
     CacheConfig,
     CoreConfig,
@@ -153,3 +158,28 @@ def test_dram_total_bandwidth_counts_controllers():
 def test_se_config_for_core_type():
     assert SEConfig.for_core(CoreType.IO4).scc_rob_entries == 0
     assert SEConfig.for_core(CoreType.OOO8).scc_rob_entries == 64
+
+
+def _leaf_fields(obj, prefix=""):
+    """Dotted paths and names of every non-dataclass field, recursively."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_fields(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", f.name
+
+
+def test_every_config_field_is_read():
+    """Every knob must move a result: each leaf field of SystemConfig is
+    read as an attribute somewhere in the package. A field nothing reads
+    still changes every content key, forcing cold rebuilds for nothing."""
+    package = pathlib.Path(repro.__file__).parent
+    read = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [path for path, name in _leaf_fields(SystemConfig())
+              if name not in read]
+    assert unread == [], f"SystemConfig fields no model reads: {unread}"

@@ -68,7 +68,6 @@ def test_serial_chain_bound():
     work = CoreWork(uops=100, serial_chain_count=1000,
                     serial_chain_latency=50)
     assert model.cycles(work) >= 1000 * 50
-    assert model.bottleneck(work) == "serial"
 
 
 def test_mlp_cap_limits_overlap():
@@ -85,15 +84,6 @@ def test_simd_throughput_bound():
     scalar = CoreWork(uops=1000)
     simd = CoreWork(uops=1000, simd_uops=1000)
     assert model.cycles(simd) >= model.cycles(scalar)
-
-
-def test_bottleneck_labels():
-    model = PipelineModel(CoreConfig.ooo8())
-    issue = CoreWork(uops=100000)
-    assert model.bottleneck(issue) == "issue"
-    mem = CoreWork(uops=10)
-    mem.add_stall(count=10000, latency=200)
-    assert model.bottleneck(mem) == "memory"
 
 
 def test_fixed_cycles_additive():

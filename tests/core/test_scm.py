@@ -67,15 +67,6 @@ def test_scm_issue_latency_slows_rob_bound_functions():
     assert slow.instance_latency(SIMPLE) == fast.instance_latency(SIMPLE)
 
 
-def test_effective_rate_capped_by_capability():
-    model = scm()
-    cap = model.throughput(MEDIUM).instances_per_cycle
-    assert model.effective_rate(MEDIUM, demand_per_cycle=1e9) \
-        == pytest.approx(cap)
-    assert model.effective_rate(MEDIUM, demand_per_cycle=cap / 10) \
-        == pytest.approx(cap / 10)
-
-
 def test_more_sccs_raise_issue_limit():
     two = scm(sccs=2, scc_rob_entries=64)
     four = scm(sccs=4, scc_rob_entries=256)

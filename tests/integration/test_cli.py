@@ -205,6 +205,49 @@ def test_sweep_failures_print_summary_table_and_exit_1(tmp_path, capsys,
     assert "RuntimeError" in captured.err
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "sweep", "fig",
+                                     "report", "profile", "trace", "faults",
+                                     "compile"])
+@pytest.mark.parametrize("scale", ["0", "-1", "2", "nan", "inf"])
+def test_bad_scale_rejected_before_building(command, scale, monkeypatch,
+                                            capsys):
+    """An out-of-range --scale exits 2 with one error line at parse time,
+    before any workload is built or any sweep runs."""
+    import repro.cli as cli_mod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("work started before --scale was checked")
+
+    monkeypatch.setattr(cli_mod, "run_sweep", no_run)
+    monkeypatch.setattr(cli_mod, "make_workload", no_run)
+    target = {"fig": ["9"], "report": []}.get(command, ["histogram"])
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *target, f"--scale={scale}"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--scale" in errors[0]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_failed_point_prints_summary_and_exits_1(command, capsys,
+                                                 monkeypatch):
+    """A point that fails is reported like ``sweep`` reports it, not as a
+    KeyError on the missing result."""
+    import repro.sim.run as run_mod
+
+    def explode(*args, **kwargs):
+        raise RuntimeError("injected CLI failure")
+
+    monkeypatch.setattr(run_mod, "run_workload", explode)
+    assert main([command, "histogram", *SMALL]) == 1
+    captured = capsys.readouterr()
+    assert "failed point(s)" in captured.err
+    assert "injected CLI failure" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_sweep_resume_requires_journal(capsys):
     assert main(["sweep", "histogram", "--resume", *SMALL]) == 2
     assert "--resume requires --journal" in capsys.readouterr().err

@@ -1,12 +1,15 @@
-"""SE_L3 capacity, service rates, and migration accounting."""
+"""SE_L3 stream-buffer share, service rates, and migration accounting."""
 
 import numpy as np
 import pytest
 
-from repro.config import NocConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.isa import AffinePattern, ComputeKind, NearStreamFunction, Stream
 from repro.llc import SEL3Model
+from repro.mem import AddressSpace
 from repro.noc import Mesh
+from repro.sim.tracestats import compute_stream_stats, hops_matrix
+from repro.workloads.base import StreamTraceData
 
 
 def model():
@@ -21,8 +24,6 @@ def make_stream():
 
 def test_capacity_matches_table_v():
     m = model()
-    assert m.streams_per_core == 12
-    assert m.total_streams == 768
     assert m.buffer_bytes_per_core() == 1024   # 64 kB / 64 cores
     assert m.buffered_elements(8) == 128
 
@@ -53,16 +54,32 @@ def test_vector_lanes_scale_simd_compute():
     assert wide.elements_per_cycle > narrow.elements_per_cycle
 
 
+def bank_stats(offsets):
+    """Stream geometry of reads at byte ``offsets`` into one region."""
+    cfg = SystemConfig.ooo8()
+    space = AddressSpace(cfg)
+    region = space.allocate("r", 1 << 20, 1)
+    trace = StreamTraceData("t", region.vbase + np.asarray(offsets),
+                            is_write=False, element_bytes=8)
+    mesh = Mesh(cfg.noc)
+    return compute_stream_stats(trace, space, mesh, hops_matrix(mesh),
+                                cfg.page_bytes), mesh
+
+
+# A stream migrates whenever its next element lives in another bank
+# (§IV-B "Stream Migrate"); results take the counts from the stream
+# geometry, and 64 B interleave puts consecutive lines on different banks.
+
 def test_migrations_count_bank_transitions():
-    m = model()
-    assert m.migrations_for_trace(np.array([1, 1, 2, 2, 3])) == 2
-    assert m.migrations_for_trace(np.array([5])) == 0
-    assert m.migrations_for_trace(np.array([1, 2, 1, 2])) == 3
+    stats, _ = bank_stats([0, 8, 64, 72, 128])     # lines 0, 0, 1, 1, 2
+    assert stats.migrations == 2
+    assert bank_stats([0])[0].migrations == 0
+    assert bank_stats([0, 64, 0, 64])[0].migrations == 3
 
 
 def test_migration_hops_follow_mesh_distance():
-    m = model()
-    mesh = Mesh(NocConfig())
-    banks = np.array([0, 1, 1, 63])
-    hops = m.migration_hops(banks, mesh)
-    assert hops == mesh.hops(0, 1) + mesh.hops(1, 63)
+    stats, mesh = bank_stats([0, 64, 64, 64 * 40, 0])
+    banks = stats.banks.tolist()
+    assert stats.migrations == 3
+    assert stats.migration_hops \
+        == sum(mesh.hops(a, b) for a, b in zip(banks, banks[1:])) > 0

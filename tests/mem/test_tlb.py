@@ -1,61 +1,38 @@
-"""TLB model: LRU behavior, shootdown, page counting."""
+"""SE_L3 translation: one TLB access per page, a page walk per miss."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.mem import TlbModel
+from repro.config import SystemConfig
+from repro.mem import AddressSpace
+from repro.mem.tlb import PAGE_WALK_CYCLES, page_walk_cycles
+from repro.noc import Mesh
+from repro.sim.tracestats import compute_stream_stats, hops_matrix
+from repro.workloads.base import StreamTraceData
+
+
+def pages_touched(offsets):
+    """The SE's TLB accesses for a stream reading at byte ``offsets``."""
+    cfg = SystemConfig.ooo8()
+    space = AddressSpace(cfg)
+    region = space.allocate("r", 1 << 20, 1)
+    trace = StreamTraceData("t", region.vbase + np.asarray(offsets),
+                            is_write=False, element_bytes=8)
+    mesh = Mesh(cfg.noc)
+    return compute_stream_stats(trace, space, mesh, hops_matrix(mesh),
+                                cfg.page_bytes).pages_touched
 
 
 def test_hits_within_page():
-    tlb = TlbModel(entries=4, page_bytes=4096)
-    stats = tlb.access(np.array([0, 8, 4088, 4096]))
-    assert stats.misses == 2   # page 0 and page 1
-    assert stats.hits == 2
-
-
-def test_lru_capacity_eviction():
-    tlb = TlbModel(entries=2, page_bytes=4096)
-    tlb.access(np.array([0, 4096, 8192]))     # page 0 evicted
-    stats = tlb.access(np.array([0]))
-    assert stats.misses == 1
-
-
-def test_lru_recency_protects_hot_page():
-    tlb = TlbModel(entries=2, page_bytes=4096)
-    tlb.access(np.array([0, 4096, 0, 8192]))  # page 1 is LRU, evicted
-    stats = tlb.access(np.array([0]))
-    assert stats.hits == 1
-
-
-def test_shootdown():
-    tlb = TlbModel(entries=4, page_bytes=4096)
-    tlb.access(np.array([0]))
-    assert tlb.shootdown(0)
-    assert not tlb.shootdown(0)
-    stats = tlb.access(np.array([0]))
-    assert stats.misses == 1
+    # The SE caches the current translation, so only the first access to
+    # each page reaches the TLB (pages 0 and 1 here).
+    assert pages_touched([0, 8, 4088, 4096]) == 2
 
 
 def test_pages_touched_counts_distinct():
-    vaddrs = np.array([0, 1, 4096, 4097, 8192])
-    assert TlbModel.pages_touched(vaddrs, 4096) == 3
+    assert pages_touched([0, 1, 4096, 4097, 8192]) == 3
 
 
-def test_zero_entries_rejected():
-    with pytest.raises(ValueError):
-        TlbModel(entries=0, page_bytes=4096)
-
-
-@settings(max_examples=30)
-@given(st.lists(st.integers(min_value=0, max_value=100), min_size=1,
-                max_size=200))
-def test_miss_count_at_least_distinct_pages_over_capacity(pages):
-    tlb = TlbModel(entries=8, page_bytes=4096)
-    vaddrs = np.array(pages) * 4096
-    stats = tlb.access(vaddrs)
-    distinct = len(set(pages))
-    assert stats.misses >= min(distinct, len(pages))
-    assert stats.misses >= distinct if distinct > 8 else True
-    assert stats.hits + stats.misses == len(pages)
-    assert 0 <= stats.miss_rate <= 1
+def test_page_walk_cycles_scale_with_misses():
+    assert page_walk_cycles(0) == 0.0
+    assert page_walk_cycles(3) == 3 * PAGE_WALK_CYCLES
+    assert page_walk_cycles(-1) == 0.0

@@ -53,14 +53,18 @@ def test_disjoint_routes_do_not_interact():
 def test_flow_model_matches_detailed_at_light_load():
     """The analytic substitute must track the ground truth unloaded."""
     cfg = NocConfig()
-    flow = FlowModel(Mesh(cfg))
+    mesh = Mesh(cfg)
+    flow = FlowModel(mesh)
     flow.set_window(1e9)
     detailed = DetailedMesh(cfg)
     errors = []
     for src, dst in ((0, 7), (0, 63), (5, 42), (60, 3)):
         packet = detailed.inject(MessageType.READ_RESP, src, dst)
-        analytic = flow.latency(MessageType.READ_RESP, src, dst)
-        errors.append((packet, analytic))
+        flow.inject_mean(MessageType.READ_RESP, 1.0, mesh.hops(src, dst))
+        errors.append((packet, mesh.hops(src, dst)))
+    # Query after every flow is recorded, as the phase engine does.
+    errors = [(packet, flow.mean_latency(MessageType.READ_RESP, hops))
+              for packet, hops in errors]
     detailed.run()
     for packet, analytic in errors:
         assert analytic == pytest.approx(packet.latency, rel=0.35), \
@@ -80,10 +84,11 @@ def test_flow_model_orders_loads_like_detailed():
         return mesh.mean_latency()
 
     def analytic_mean(n_packets, window):
-        flow = FlowModel(Mesh(cfg))
+        mesh = Mesh(cfg)
+        flow = FlowModel(mesh)
         flow.set_window(window)
-        flow.inject(MessageType.READ_RESP, 0, 7, count=n_packets)
-        return flow.latency(MessageType.READ_RESP, 0, 7)
+        flow.inject_mean(MessageType.READ_RESP, n_packets, mesh.hops(0, 7))
+        return flow.mean_latency(MessageType.READ_RESP, mesh.hops(0, 7))
 
     light_detail, heavy_detail = detailed_mean(2), detailed_mean(64)
     light_analytic = analytic_mean(2, window=64)

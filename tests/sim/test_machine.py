@@ -30,5 +30,7 @@ def test_fresh_flow_is_independent():
     a = machine.fresh_flow()
     b = machine.fresh_flow()
     from repro.noc.message import MessageType
-    a.inject(MessageType.READ_REQ, 0, 5)
+    a.inject_mean(MessageType.READ_REQ, 1.0, 5.0)
+    assert a.ledger.total_byte_hops > 0.0
     assert b.ledger.total_byte_hops == 0.0
+    assert b.mean_utilization() == 0.0

@@ -43,6 +43,8 @@ def test_bounds_are_nonnegative_and_labeled():
                                    "scm", "dram", "locks"}
     assert all(v >= 0 for v in outcome.bounds.values())
     assert outcome.cycles >= max(outcome.bounds.values())
+    # The phase's bottleneck label names its largest bound.
+    assert outcome.bounds[outcome.bottleneck] == max(outcome.bounds.values())
 
 
 def test_base_mode_has_no_offload_bounds():
