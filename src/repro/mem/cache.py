@@ -7,11 +7,15 @@ The model stores way-indexed state per set (tag / dirty / RRPV / stamp) and
 processes whole traces with two interchangeable engines:
 
 * a **scalar** engine — an optimized per-access loop over Python lists,
-  best for the scaled-down caches the sampled simulation uses (2-8 sets);
+  ~1.5-2 us per collapsed access whatever the set count;
 * a **wavefront** engine — trace positions are batched by their per-set
   occurrence index, so every batch touches each set at most once and is
-  processed with pure numpy array operations. Chosen automatically for
-  many-set caches where batches are wide.
+  processed with pure numpy array operations. A batch costs a fixed ~15-25
+  us of numpy calls however wide it is, so the engine only pays off on
+  caches of well over 64 sets with long traces; see the measurements at
+  ``CacheModel._WAVEFRONT_MIN_WIDTH``. The simulator's L1s (2-64 sets up
+  to scale 1) and L2s (whose per-miss draw order is serial) therefore all
+  run on the scalar engine.
 
 Both engines first collapse runs of repeated line addresses (element-
 granularity traces of sequential streams revisit the same 64 B line many
@@ -116,10 +120,20 @@ class CacheModel:
 
     _RRPV_MAX = 3
     _BRRIP_P = 0.03
-    # Wavefront pays ~tens of numpy calls per batch; only worth it when
-    # batches are wide (many sets touched per round) and the trace is long.
-    _WAVEFRONT_MIN_TRACE = 1024
-    _WAVEFRONT_MIN_WIDTH = 8.0
+    # Engine crossover, measured on mixed streaming/random traces (us per
+    # collapsed access m, scalar / wavefront; LRU unless noted):
+    #   16 sets,  width 14-16:   2.0 / 3.2-4.7   (BRRIP 1.8 / 4.1-5.6)
+    #   32 sets,  width 26-30:   1.8 / 2.1-3.0
+    #   64 sets,  width 42-60:   2.1 / 1.3-2.2   (BRRIP 1.8 / 1.7-2.6)
+    #   128 sets, width 59-112:  m=1k 1.1 / 2.1; m>=4k 1.9 / 0.9-1.3
+    #   256x16,   width 100-217: m<=4k 0.8 / 1.1-2.0; m>=16k 1.9 / 0.7-0.8
+    # A wavefront round costs ~15-25 us of numpy calls however wide it is,
+    # so the width (accesses per round) must reach ~40 (LRU) to ~60 (BRRIP)
+    # to repay it; and each call converts the sets x assoc way state to
+    # arrays and back, which a trace of under ~2 accesses per way does not
+    # repay.
+    _WAVEFRONT_MIN_WIDTH = 64.0
+    _WAVEFRONT_MIN_ACCESSES_PER_WAY = 2
 
     def __init__(self, config: CacheConfig,
                  policy: ReplacementPolicy = ReplacementPolicy.BRRIP,
@@ -231,7 +245,7 @@ class CacheModel:
         return call
 
     def _pick_engine(self, m: int, counts: np.ndarray) -> str:
-        if m < self._WAVEFRONT_MIN_TRACE:
+        if m < self._WAVEFRONT_MIN_ACCESSES_PER_WAY * self.sets * self.assoc:
             return "scalar"
         rounds = int(counts.max())
         return ("wavefront"

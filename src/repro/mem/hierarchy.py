@@ -1,10 +1,10 @@
 """Private L1/L2 caches, the shared L3, and the prefetcher coverage model.
 
 Per simulated core: an exact L1D and L2 (``CacheModel``). The shared L3 is a
-machine-wide :class:`SharedL3Model` tracking resident lines with a capacity
-bound — an intentionally coarser model, justified because the evaluated
-workloads are sized to be LLC-resident (64 x 1 MB banks) so the L3's job is
-mostly to absorb cold misses and very large scans.
+machine-wide :class:`SharedL3Model`, a fully associative LRU over resident
+lines with a capacity bound — an intentionally coarser model, justified
+because the evaluated workloads are sized to be LLC-resident (64 x 1 MB
+banks) so the L3's job is mostly to absorb cold misses and very large scans.
 
 :meth:`HierarchyModel.walk_elements` answers, per element, which level
 served it; the phase engine turns those into per-stream level rates, then
@@ -13,8 +13,8 @@ into stall cycles and NoC flows.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional
+from collections import deque
+from typing import Deque, Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -24,16 +24,34 @@ from repro.mem.cache import CacheModel, ReplacementPolicy
 
 
 class SharedL3Model:
-    """Machine-wide L3 occupancy model (FIFO over resident lines).
+    """Machine-wide L3 occupancy model: exact LRU over resident lines.
 
     Tracks residency of physical lines across the whole static-NUCA L3. It is
     shared between cores, so one core's fetch warms the cache for everyone —
     the property that makes near-LLC computing attractive in the first place.
+
+    State is a line -> last-access stamp map plus the set of dirty resident
+    lines; LRU order is stamp order. The evaluated working sets are sized to
+    be LLC-resident, so a batch almost never brings in more new lines than
+    the free capacity. Such a batch cannot evict and needs no per-access
+    step: an access hits iff its line was resident before the call or occurs
+    earlier in the batch, each line takes the stamp of its last occurrence,
+    and written lines join the dirty set. A batch that may evict replays
+    access by access in stamp order, after sorting the resident lines by
+    stamp; the simulator's runs never take that path (their L3 peaks at
+    ~12% occupancy at 1/64 and ~4% at scale 0.25).
     """
+
+    # Up to this many accesses the in-order loop costs less than the array
+    # path's ~15 numpy calls; the 1/64-1/256 bypass batches have a median of
+    # ~50 lines.
+    _LOOP_MAX = 256
 
     def __init__(self, config: SystemConfig) -> None:
         self.capacity_lines = config.l3_total_bytes >> LINE_SHIFT
-        self._resident: "OrderedDict[int, bool]" = OrderedDict()  # line -> dirty
+        self._stamps: Dict[int, int] = {}   # resident line -> last access
+        self._dirty: Set[int] = set()       # dirty resident lines
+        self._clock = 0                     # stamp of the next access
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -42,28 +60,78 @@ class SharedL3Model:
                is_write: Optional[np.ndarray] = None) -> np.ndarray:
         """Process line addresses; returns the per-access hit mask."""
         lines = np.asarray(lines, dtype=np.int64)
-        if is_write is None:
-            is_write = np.zeros(len(lines), dtype=bool)
+        n = len(lines)
+        writes = (np.zeros(n, dtype=bool) if is_write is None
+                  else np.asarray(is_write, dtype=bool))
+        if n <= self._LOOP_MAX:
+            return self._access_in_order(lines, writes)
+        # Group equal lines; a group's first and last positions come from
+        # min/max over it, so the sort need not be stable.
+        order = np.argsort(lines)
+        grouped = lines[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], grouped[1:] != grouped[:-1])))
+        distinct = grouped[starts].tolist()
+        stamps = self._stamps
+        resident = np.fromiter(map(stamps.__contains__, distinct),
+                               dtype=bool, count=len(distinct))
+        new_lines = len(distinct) - int(np.count_nonzero(resident))
+        if new_lines > self.capacity_lines - len(stamps):
+            return self._access_in_order(lines, writes)
+        hit_mask = np.ones(n, dtype=bool)
+        hit_mask[np.minimum.reduceat(order, starts)[~resident]] = False
+        last = np.maximum.reduceat(order, starts) + self._clock
+        stamps.update(zip(distinct, last.tolist()))
+        if writes.any():
+            self._dirty.update(lines[writes].tolist())
+        self._clock += n
+        self.hits += n - new_lines
+        self.misses += new_lines
+        return hit_mask
+
+    def _access_in_order(self, lines: np.ndarray,
+                         writes: np.ndarray) -> np.ndarray:
+        """Access-by-access path for small batches and ones that may evict.
+
+        The first eviction sorts the resident lines into ``queue``,
+        ``(stamp, line)`` pairs in stamp order that every later access
+        appends to; a pair goes stale once its line is stamped again or
+        evicted, so the first live pair is the LRU victim.
+        """
+        stamps, dirty = self._stamps, self._dirty
+        queue: Optional[Deque[Tuple[int, int]]] = None
         hit_mask = np.zeros(len(lines), dtype=bool)
-        resident = self._resident
+        clock = self._clock
         for pos, (line, write) in enumerate(zip(lines.tolist(),
-                                                is_write.tolist())):
-            if line in resident:
-                self.hits += 1
+                                                writes.tolist())):
+            stamp = clock + pos
+            if line in stamps:
                 hit_mask[pos] = True
-                resident[line] = resident[line] or write
-                resident.move_to_end(line)
-            else:
-                self.misses += 1
-                resident[line] = bool(write)
-                if len(resident) > self.capacity_lines:
-                    _, dirty = resident.popitem(last=False)
-                    if dirty:
-                        self.writebacks += 1
+            stamps[line] = stamp
+            if write:
+                dirty.add(line)
+            if queue is not None:
+                queue.append((stamp, line))
+            if len(stamps) > self.capacity_lines:
+                if queue is None:
+                    queue = deque(sorted(zip(stamps.values(), stamps)))
+                old, victim = queue.popleft()
+                while stamps.get(victim) != old:
+                    old, victim = queue.popleft()
+                del stamps[victim]
+                if victim in dirty:
+                    dirty.remove(victim)
+                    self.writebacks += 1
+        hits = int(np.count_nonzero(hit_mask))
+        self._clock += len(lines)
+        self.hits += hits
+        self.misses += len(lines) - hits
         return hit_mask
 
     def reset(self) -> None:
-        self._resident.clear()
+        self._stamps.clear()
+        self._dirty.clear()
+        self._clock = 0
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
@@ -160,7 +228,7 @@ class HierarchyModel:
         demand_hit = l2_res.hit_mask[is_demand[order]]
         levels[demand_pos[demand_hit]] = 1
 
-        # L3: demand L2 misses only, in program order (FIFO model).
+        # L3: demand L2 misses only, in program order (exact LRU).
         l3_pos = demand_pos[~demand_hit]
         if len(l3_pos):
             l3_mask = self.shared_l3.access(lines[l3_pos], writes[l3_pos])

@@ -4,7 +4,11 @@ Property tests: on any trace, :meth:`HierarchyModel.walk_elements` must
 serve every element from exactly the level the retained
 :meth:`HierarchyModel.access_element` loop serves it from, and leave the
 L1/L2/L3 models in identical states — including BRRIP draw consumption
-in the L2 and dirty-L1 victims chained into the L2 stream.
+in the L2 and dirty-L1 victims chained into the L2 stream. The property
+test also forces the L1's wavefront engine (the automatic choice keeps
+these small caches on the scalar engine) and shrinks the shared L3 to a
+few lines so that it evicts; the reference L3 is the per-element
+``OrderedDict`` model in ``tests/mem/l3_reference.py``.
 """
 
 import numpy as np
@@ -13,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemConfig
 from repro.mem.hierarchy import HierarchyModel, SharedL3Model
+from tests.mem.l3_reference import OrderedL3Model
 
-SCALES = [1e-9, 1.0 / 4096.0]  # floor-sized and small private caches
+# Floor-sized and small private caches, and scale 0.25's 16-set L1.
+SCALES = [1e-9, 1.0 / 4096.0, 0.25]
 
 traces = st.lists(
     st.tuples(st.integers(min_value=0, max_value=127),  # line
@@ -35,9 +41,12 @@ def _expand(trace):
             np.array(skips, dtype=bool))
 
 
-def _build(scale):
+def _build(scale, l3_capacity=None, reference=False):
     cfg = SystemConfig.ooo8().scaled_private_caches(scale)
-    return HierarchyModel(cfg, SharedL3Model(cfg), core_id=0)
+    l3 = OrderedL3Model(cfg) if reference else SharedL3Model(cfg)
+    if l3_capacity is not None:
+        l3.capacity_lines = l3_capacity
+    return HierarchyModel(cfg, l3, core_id=0)
 
 
 def _assert_same_state(fast, ref, context):
@@ -55,11 +64,13 @@ def _assert_same_state(fast, ref, context):
 
 @pytest.mark.parametrize("use_skip", [False, True])
 @given(data=st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_walk_matches_element_loop(use_skip, data):
     scale = data.draw(st.sampled_from(SCALES))
-    fast = _build(scale)
-    ref = _build(scale)
+    l3_capacity = data.draw(st.one_of(st.none(), st.integers(1, 64)))
+    fast = _build(scale, l3_capacity)
+    ref = _build(scale, l3_capacity, reference=True)
+    fast.l1.force_engine = data.draw(st.sampled_from([None, "wavefront"]))
     for chunk in range(data.draw(st.integers(1, 3))):
         lines, writes, skips = _expand(data.draw(traces))
         if not use_skip:
@@ -70,8 +81,9 @@ def test_walk_matches_element_loop(use_skip, data):
         expect = [ref.access_element(int(l), bool(w), bool(s))
                   for l, w, s in zip(lines, writes, skip_list)]
         got = [HierarchyModel.LEVELS[v] for v in levels.tolist()]
-        assert got == expect, (use_skip, scale, chunk)
-        _assert_same_state(fast, ref, (use_skip, scale, chunk))
+        context = (use_skip, scale, l3_capacity, chunk)
+        assert got == expect, context
+        _assert_same_state(fast, ref, context)
 
 
 def test_walk_matches_element_loop_long_trace():
@@ -92,7 +104,7 @@ def test_walk_matches_element_loop_long_trace():
     skips = rng.random(n) < 0.25
 
     fast = _build(1.0 / 1024.0)
-    ref = _build(1.0 / 1024.0)
+    ref = _build(1.0 / 1024.0, reference=True)
     levels = fast.walk_elements(lines, writes, skips)
     expect = [ref.access_element(int(l), bool(w), bool(s))
               for l, w, s in zip(lines, writes, skips)]
